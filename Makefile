@@ -61,9 +61,10 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
 
-# Machine-readable microbenchmark snapshot (ns/op, allocs/op per hot
-# path, plus experiment wall-clock from results/timing.json if fresh),
-# stamped with git state + eBPF engine. See scripts/bench_json.sh.
+# Machine-readable microbenchmark snapshot (ns/op, B/op, allocs/op for
+# the ebpf, obs and pagecache benchmarks, plus experiment wall-clock
+# from results/timing.json when that file exists), stamped with the
+# git state. See scripts/bench_json.sh.
 bench-json:
 	./scripts/bench_json.sh results/bench.json
 

@@ -39,7 +39,6 @@ import (
 
 	"snapbpf/internal/calib"
 	"snapbpf/internal/cluster"
-	"snapbpf/internal/ebpf"
 	"snapbpf/internal/experiments"
 	"snapbpf/internal/faults"
 	"snapbpf/internal/obs"
@@ -50,28 +49,25 @@ import (
 
 func main() {
 	var (
-		expFlag   = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		fnFlag    = flag.String("funcs", "", "comma-separated function names (default: full suite)")
-		csvDir    = flag.String("csv", "", "directory to write per-experiment CSV files")
-		report    = flag.String("report", "", "write a combined markdown report to this file")
-		verify    = flag.Bool("verify", false, "check the paper's claims against the results")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		verbose   = flag.Bool("v", false, "per-cell progress on stderr")
-		parallel  = flag.Int("parallel", 0, "measurement-cell workers: 0 = one per CPU, 1 = serial")
-		timing    = flag.String("timing", "", "write per-experiment wall-clock timings to this JSON file")
-		faultsLvl = flag.String("faults", "none", "fault injection level for every experiment: none, light, heavy")
-		faultSeed = flag.Int64("fault-seed", 1, "seed for the fault-injection streams (same seed = byte-identical run)")
-		checkInv  = flag.Bool("check", false, "arm the invariant-checking harness on every cell (fails on violations)")
-		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON covering every cell to this file (open in chrome://tracing)")
-		metricsJS = flag.String("metrics", "", "write the metrics document to this JSON file, plus Prometheus text next to it (.prom)")
-		engineFl  = flag.String("engine", os.Getenv("SNAPBPF_EBPF_ENGINE"),
-			"eBPF execution engine: jit (default) or interp; also via SNAPBPF_EBPF_ENGINE")
+		expFlag    = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		fnFlag     = flag.String("funcs", "", "comma-separated function names (default: full suite)")
+		csvDir     = flag.String("csv", "", "directory to write per-experiment CSV files")
+		report     = flag.String("report", "", "write a combined markdown report to this file")
+		verify     = flag.Bool("verify", false, "check the paper's claims against the results")
+		list       = flag.Bool("list", false, "list experiment ids and exit")
+		verbose    = flag.Bool("v", false, "per-cell progress on stderr")
+		parallel   = flag.Int("parallel", 0, "measurement-cell workers: 0 = one per CPU, 1 = serial")
+		timing     = flag.String("timing", "", "write per-experiment wall-clock timings to this JSON file")
+		faultsLvl  = flag.String("faults", "none", "fault injection level for every experiment: none, light, heavy")
+		faultSeed  = flag.Int64("fault-seed", 1, "seed for the fault-injection streams (same seed = byte-identical run)")
+		checkInv   = flag.Bool("check", false, "arm the invariant-checking harness on every cell (fails on violations)")
+		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON covering every cell to this file (open in chrome://tracing)")
+		metricsJS  = flag.String("metrics", "", "write the metrics document to this JSON file, plus Prometheus text next to it (.prom)")
 		fitness    = flag.Bool("fitness", false, "score the regenerated figures against the paper's published values; nonzero exit on drift")
 		fitnessOut = flag.String("fitness-out", "results/fitness.json", "where -fitness writes its JSON verdict")
 		replayFns  = flag.String("replay", "", "comma-separated function names: counterfactual prefetch-decision replay instead of experiments")
 		replayK    = flag.Int("replay-k", 3, "alternative schedules to replay per function, beyond the recorded one")
 		absintRep  = flag.Bool("absint-report", false, "print the abstract-interpretation report for the built-in eBPF programs and exit")
-		absintPr   = flag.Bool("absint-prune", false, "feed abstract-interpretation facts to the JIT: dead-block elision, branch flattening, bounded-loop budget elision")
 		storeTier  = flag.String("store", "", "snapshot tier for every experiment: local, warm, cold (empty = local SSD)")
 		fetchPol   = flag.String("fetch-policy", "", "remote chunk fetch policy: demand, full, wslazy (empty = demand)")
 		hostsN     = flag.Int("hosts", 0, "cluster experiment: region size in hosts (0 = default 4)")
@@ -82,13 +78,6 @@ func main() {
 	if *parallel < 0 {
 		fatal(fmt.Errorf("-parallel must be >= 0, got %d", *parallel))
 	}
-	engine, err := ebpf.ParseEngine(*engineFl)
-	if err != nil {
-		fatal(err)
-	}
-	ebpf.SetDefaultEngine(engine)
-	ebpf.SetAbsintPrune(*absintPr)
-
 	if *absintRep {
 		if err := writeAbsintReport(os.Stdout); err != nil {
 			fatal(err)
@@ -231,7 +220,7 @@ func main() {
 	total := time.Since(suiteStart)
 	fmt.Fprintf(os.Stderr, "[total wall-clock %v, %d workers]\n", total.Round(time.Millisecond), workers(*parallel))
 	if *timing != "" {
-		if err := writeTiming(*timing, *parallel, engineName(engine), timings, total, os.Stderr); err != nil {
+		if err := writeTiming(*timing, *parallel, timings, total, os.Stderr); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintln(os.Stderr, "timings written to", *timing)
@@ -343,13 +332,12 @@ type expTiming struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// timingReport is the -timing JSON document. GitState, Engine and
-// Workers stamp where the numbers came from: rows measured under a
-// different source tree, engine or pool width are not comparable, so
-// merging across differing stamps is refused.
+// timingReport is the -timing JSON document. GitState and Workers
+// stamp where the numbers came from: rows measured under a different
+// source tree or pool width are not comparable, so merging across
+// differing stamps is refused.
 type timingReport struct {
 	GitState     string      `json:"git_state"`
-	Engine       string      `json:"engine"`
 	Workers      int         `json:"workers"`
 	GOMAXPROCS   int         `json:"gomaxprocs"`
 	TotalSeconds float64     `json:"total_seconds"`
@@ -362,14 +350,6 @@ func workers(parallel int) int {
 		return parallel
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// engineName renders the engine knob for report stamps.
-func engineName(e ebpf.Engine) string {
-	if e == ebpf.EngineInterp {
-		return "interp"
-	}
-	return "jit"
 }
 
 // gitState describes the working tree as "<short-hash>" or
@@ -387,16 +367,15 @@ func gitState() string {
 }
 
 // writeTiming writes the wall-clock timing report as indented JSON.
-// When path already holds a report with the same git state, engine and
-// pool width, experiments not re-run this time are carried over, so a
+// When path already holds a report with the same git state and pool
+// width, experiments not re-run this time are carried over, so a
 // partial `-exp` run refreshes rows instead of clobbering the file;
 // a stamp mismatch discards the old rows (merging timings measured on
 // different code or configurations would silently mix regimes), with a
 // note on diag.
-func writeTiming(path string, parallel int, engine string, timings []expTiming, total time.Duration, diag io.Writer) error {
+func writeTiming(path string, parallel int, timings []expTiming, total time.Duration, diag io.Writer) error {
 	doc := timingReport{
 		GitState:     gitState(),
-		Engine:       engine,
 		Workers:      workers(parallel),
 		GOMAXPROCS:   runtime.GOMAXPROCS(0),
 		TotalSeconds: total.Seconds(),
@@ -405,7 +384,7 @@ func writeTiming(path string, parallel int, engine string, timings []expTiming, 
 	if old, err := os.ReadFile(path); err == nil {
 		var prev timingReport
 		if json.Unmarshal(old, &prev) == nil {
-			if prev.GitState == doc.GitState && prev.Engine == doc.Engine && prev.Workers == doc.Workers {
+			if prev.GitState == doc.GitState && prev.Workers == doc.Workers {
 				ran := make(map[string]bool, len(timings))
 				for _, t := range timings {
 					ran[t.ID] = true
@@ -417,8 +396,8 @@ func writeTiming(path string, parallel int, engine string, timings []expTiming, 
 				}
 			} else if len(prev.Experiments) > 0 {
 				fmt.Fprintf(diag,
-					"timing: discarding stale rows from %s (stamp %s/%s/%d workers != %s/%s/%d workers)\n",
-					path, prev.GitState, prev.Engine, prev.Workers, doc.GitState, doc.Engine, doc.Workers)
+					"timing: discarding stale rows from %s (stamp %s/%d workers != %s/%d workers)\n",
+					path, prev.GitState, prev.Workers, doc.GitState, doc.Workers)
 			}
 		}
 	}

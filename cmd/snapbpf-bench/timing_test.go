@@ -43,14 +43,13 @@ func timingRows(doc timingReport) map[string]float64 {
 	return rows
 }
 
-// A previous report with the same git state, engine and pool width is
+// A previous report with the same git state and pool width is
 // a valid baseline: rows not re-run this time are carried over, rows
 // that were re-run are replaced, and no diagnostic is emitted.
 func TestWriteTimingCarriesOverMatchingStamp(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "timing.json")
 	writePrev(t, path, timingReport{
 		GitState: gitState(),
-		Engine:   "jit",
 		Workers:  workers(1),
 		Experiments: []expTiming{
 			{ID: "fig3a", Seconds: 10.0},
@@ -58,7 +57,7 @@ func TestWriteTimingCarriesOverMatchingStamp(t *testing.T) {
 		},
 	})
 	var diag strings.Builder
-	err := writeTiming(path, 1, "jit",
+	err := writeTiming(path, 1,
 		[]expTiming{{ID: "fig3a", Seconds: 1.5}}, 1500*time.Millisecond, &diag)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +77,7 @@ func TestWriteTimingCarriesOverMatchingStamp(t *testing.T) {
 	}
 }
 
-// Rows stamped by a different source tree, engine or pool width are
+// Rows stamped by a different source tree or pool width are
 // not comparable with this run's: they must be discarded, with a note
 // on the diagnostic writer saying so.
 func TestWriteTimingRejectsMismatchedStamp(t *testing.T) {
@@ -86,9 +85,8 @@ func TestWriteTimingRejectsMismatchedStamp(t *testing.T) {
 		name string
 		prev timingReport
 	}{
-		{"git state", timingReport{GitState: "0000000-elsewhere", Engine: "jit", Workers: workers(1)}},
-		{"engine", timingReport{GitState: gitState(), Engine: "interp", Workers: workers(1)}},
-		{"workers", timingReport{GitState: gitState(), Engine: "jit", Workers: workers(1) + 7}},
+		{"git state", timingReport{GitState: "0000000-elsewhere", Workers: workers(1)}},
+		{"workers", timingReport{GitState: gitState(), Workers: workers(1) + 7}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "timing.json")
@@ -96,7 +94,7 @@ func TestWriteTimingRejectsMismatchedStamp(t *testing.T) {
 			prev.Experiments = []expTiming{{ID: "fig4", Seconds: 20.0}}
 			writePrev(t, path, prev)
 			var diag strings.Builder
-			err := writeTiming(path, 1, "jit",
+			err := writeTiming(path, 1,
 				[]expTiming{{ID: "fig3a", Seconds: 1.5}}, 1500*time.Millisecond, &diag)
 			if err != nil {
 				t.Fatal(err)
@@ -120,7 +118,7 @@ func TestWriteTimingOverwritesCorruptFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var diag strings.Builder
-	err := writeTiming(path, 1, "jit",
+	err := writeTiming(path, 1,
 		[]expTiming{{ID: "fig3a", Seconds: 1.5}}, 1500*time.Millisecond, &diag)
 	if err != nil {
 		t.Fatal(err)
@@ -135,8 +133,8 @@ func TestWriteTimingOverwritesCorruptFile(t *testing.T) {
 	if doc.TotalSeconds != 1.5 {
 		t.Errorf("total_seconds = %v, want 1.5", doc.TotalSeconds)
 	}
-	if doc.Engine != "jit" || doc.Workers != workers(1) {
-		t.Errorf("stamp = %s/%d workers, want jit/%d", doc.Engine, doc.Workers, workers(1))
+	if doc.Workers != workers(1) {
+		t.Errorf("stamp = %d workers, want %d", doc.Workers, workers(1))
 	}
 }
 
@@ -144,9 +142,9 @@ func TestWriteTimingOverwritesCorruptFile(t *testing.T) {
 // there is nothing being discarded.
 func TestWriteTimingEmptyPrevNoNote(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "timing.json")
-	writePrev(t, path, timingReport{GitState: "0000000-elsewhere", Engine: "jit", Workers: workers(1)})
+	writePrev(t, path, timingReport{GitState: "0000000-elsewhere", Workers: workers(1)})
 	var diag strings.Builder
-	err := writeTiming(path, 1, "jit",
+	err := writeTiming(path, 1,
 		[]expTiming{{ID: "fig3a", Seconds: 1.5}}, 1500*time.Millisecond, &diag)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"snapbpf/internal/ebpf"
 	"snapbpf/internal/obs"
 	"snapbpf/internal/workload"
 )
@@ -53,36 +52,23 @@ func TestReplayRecordedDeltaZero(t *testing.T) {
 	}
 }
 
-// Replay must produce deep-equal reports across pool widths and both
-// eBPF engines — decisions, alternatives, E2Es and deltas, everything.
+// Replay must produce deep-equal reports across pool widths —
+// decisions, alternatives, E2Es and deltas, everything.
 func TestReplayDeterministic(t *testing.T) {
 	if raceEnabled {
 		t.Skip("repeated full cells; the non-race suite covers determinism")
 	}
 	fn := jsonFn(t)
-	run := func(parallel int, engine ebpf.Engine) *ReplayReport {
-		prev := ebpf.DefaultEngine()
-		ebpf.SetDefaultEngine(engine)
-		defer ebpf.SetDefaultEngine(prev)
+	run := func(parallel int) *ReplayReport {
 		rep, err := Replay(fn, ReplayConfig{K: 2, Parallel: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
-	base := run(1, ebpf.EngineJIT)
-	for _, c := range []struct {
-		name     string
-		parallel int
-		engine   ebpf.Engine
-	}{
-		{"parallel-3 jit", 3, ebpf.EngineJIT},
-		{"serial interp", 1, ebpf.EngineInterp},
-		{"parallel-3 interp", 3, ebpf.EngineInterp},
-	} {
-		if got := run(c.parallel, c.engine); !reflect.DeepEqual(got, base) {
-			t.Errorf("%s: replay diverged:\n got %+v\nwant %+v", c.name, got, base)
-		}
+	base := run(1)
+	if got := run(3); !reflect.DeepEqual(got, base) {
+		t.Errorf("parallel-3: replay diverged:\n got %+v\nwant %+v", got, base)
 	}
 }
 

@@ -3,7 +3,7 @@ package absint
 import "fmt"
 
 // Mirrored ISA encoding. This package is a leaf — internal/ebpf
-// consumes it from the verifier and the JIT, so it cannot import the
+// consumes it from the verifier, so it cannot import the
 // instruction definitions back. The constants below are byte-for-byte
 // the Linux eBPF encoding used by internal/ebpf/isa.go and are pinned
 // against it by TestAbsintConstsMatch on the other side.

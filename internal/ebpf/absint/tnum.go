@@ -6,7 +6,7 @@
 // instruction bound for bounded programs.
 //
 // The package is a leaf: it deliberately does not import
-// internal/ebpf (which consumes it from the verifier and the JIT).
+// internal/ebpf (which consumes it from the verifier).
 // Instruction encoding constants are mirrored here and pinned against
 // the ebpf package by a consistency test on the other side.
 package absint

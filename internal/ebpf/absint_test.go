@@ -98,7 +98,7 @@ func evictionScanProgram() []Instruction {
 // TestAbsintEvictionScan is the acceptance test for the two-tier
 // verifier: the eviction-scan loop is structurally rejected, accepted
 // by the abstract interpreter with an exact worst-case cost, and runs
-// identically on both engines (pruned and unpruned).
+// to the expected result.
 func TestAbsintEvictionScan(t *testing.T) {
 	vm := NewVM()
 	insns := evictionScanProgram()
@@ -118,52 +118,20 @@ func TestAbsintEvictionScan(t *testing.T) {
 		t.Fatalf("two-tier Verify rejected: %v", err)
 	}
 
-	if got, err := runBoth(t, insns); err != nil {
+	p, err := vm.Load("scan", insns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := p.Run(nil); err != nil {
 		t.Fatalf("run: %v", err)
 	} else if got != 64 {
-		t.Fatalf("got %d, want 64", got)
-	}
-	SetAbsintPrune(true)
-	defer SetAbsintPrune(false)
-	if got, err := runBoth(t, insns); err != nil {
-		t.Fatalf("pruned run: %v", err)
-	} else if got != 64 {
-		t.Fatalf("pruned run got %d, want 64", got)
-	}
-}
-
-// TestAbsintPrunedLoopSkipsBudget checks that a proven-bounded loop
-// takes the JIT's no-budget fast path: the block program is compiled,
-// marked bounded, and still returns the right answer.
-func TestAbsintPrunedLoopSkipsBudget(t *testing.T) {
-	vm := NewVM()
-	SetAbsintPrune(true)
-	defer SetAbsintPrune(false)
-	p, err := vm.Load("scan", evictionScanProgram())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.jit == nil {
-		t.Fatal("bounded loop did not compile under pruning")
-	}
-	if p.jit.acyclic {
-		t.Fatal("loop program cannot be acyclic")
-	}
-	if !p.jit.bounded {
-		t.Fatal("proven-bounded loop not marked bounded")
-	}
-	got, err := p.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 64 {
 		t.Fatalf("got %d, want 64", got)
 	}
 }
 
 // deadRegionProgram jumps over a statically dead region containing an
-// instruction the JIT cannot translate (and the structural verifier
-// rejects): r1 is forced to 3, so the jeq is always taken.
+// instruction the structural verifier rejects: r1 is forced to 3, so
+// the jeq is always taken.
 func deadRegionProgram() []Instruction {
 	return []Instruction{
 		{Op: ClassALU64 | OpMov | SrcK, Dst: R1, Imm: 3},
@@ -173,78 +141,6 @@ func deadRegionProgram() []Instruction {
 		{Op: ClassJMP | OpExit},
 		{Op: ClassALU64 | OpMov | SrcK, Dst: R0, Imm: 9},
 		{Op: ClassJMP | OpExit},
-	}
-}
-
-// TestAbsintPruneDeadRegion: with pruning, a program whose only
-// invalid instructions are statically dead compiles to blocks (the
-// dead region becomes a stub) and runs identically on both engines.
-func TestAbsintPruneDeadRegion(t *testing.T) {
-	vm := NewVM()
-	insns := deadRegionProgram()
-	if err := verifyStructural(insns, vm); err == nil {
-		t.Fatal("structural verifier unexpectedly accepted dead invalid code")
-	}
-	r := vm.Analyze(insns)
-	if !r.OK {
-		t.Fatalf("analysis rejected: %v", r.Err)
-	}
-	b, ok := r.Branches[1]
-	if !ok || !b.FallDead || b.TakenDead {
-		t.Fatalf("expected fall-dead branch fact at pc 1, got %+v (present %v)", b, ok)
-	}
-	if r.Reachable[2] {
-		t.Fatal("dead region marked reachable")
-	}
-
-	SetAbsintPrune(true)
-	defer SetAbsintPrune(false)
-	p, err := vm.Load("dead", insns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.jit == nil {
-		t.Fatal("program with pruned dead region did not compile")
-	}
-	got, err := p.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 9 {
-		t.Fatalf("got %d, want 9", got)
-	}
-	if got, err := runBoth(t, insns); err != nil || got != 9 {
-		t.Fatalf("engine divergence: got %d, err %v", got, err)
-	}
-}
-
-// TestAbsintPruneFlattensBranch: a one-sided conditional becomes an
-// unconditional edge under pruning; semantics must not change.
-func TestAbsintPruneFlattensBranch(t *testing.T) {
-	// r1 = 8; jgt r1, 100 is never taken; fall path returns 5.
-	insns := []Instruction{
-		{Op: ClassALU64 | OpMov | SrcK, Dst: R1, Imm: 8},
-		{Op: ClassJMP | OpJgt | SrcK, Dst: R1, Imm: 100, Off: 2},
-		{Op: ClassALU64 | OpMov | SrcK, Dst: R0, Imm: 5},
-		{Op: ClassJMP | OpExit},
-		{Op: ClassALU64 | OpMov | SrcK, Dst: R0, Imm: 6},
-		{Op: ClassJMP | OpExit},
-	}
-	vm := NewVM()
-	r := vm.Analyze(insns)
-	if !r.OK {
-		t.Fatalf("analysis rejected: %v", r.Err)
-	}
-	if b := r.Branches[1]; !b.TakenDead || b.FallDead {
-		t.Fatalf("expected taken-dead fact at pc 1, got %+v", b)
-	}
-	for _, prune := range []bool{false, true} {
-		SetAbsintPrune(prune)
-		got, err := runBoth(t, insns)
-		SetAbsintPrune(false)
-		if err != nil || got != 5 {
-			t.Fatalf("prune=%v: got %d, err %v", prune, got, err)
-		}
 	}
 }
 
@@ -294,8 +190,7 @@ func TestInterpBranches(t *testing.T) {
 func TestVerifyRejectsWhatAbsintCannotProve(t *testing.T) {
 	vm := NewVM()
 	// An unbounded loop is accepted (the seed contract: dynamic
-	// budget termination), but the analysis must report no bound, so
-	// the JIT never elides the budget check for it.
+	// budget termination), but the analysis must report no bound.
 	unbounded := []Instruction{
 		{Op: ClassALU64 | OpMov | SrcK, Dst: R0, Imm: 0},
 		{Op: ClassALU64 | OpAdd | SrcK, Dst: R0, Imm: 1},
@@ -308,14 +203,9 @@ func TestVerifyRejectsWhatAbsintCannotProve(t *testing.T) {
 	if r := vm.Analyze(unbounded); r.OK && r.WorstCase != -1 {
 		t.Fatalf("unbounded loop got finite worst case %d", r.WorstCase)
 	}
-	SetAbsintPrune(true)
 	p, err := vm.Load("unbounded", unbounded)
-	SetAbsintPrune(false)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if p.jit != nil && (p.jit.bounded || p.jit.acyclic) {
-		t.Fatal("unbounded loop must keep the dynamic budget check")
 	}
 	if _, err := p.Run(nil); err == nil || !strings.Contains(err.Error(), "instruction budget") {
 		t.Fatalf("unbounded loop must die on the budget, got %v", err)

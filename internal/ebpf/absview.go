@@ -56,24 +56,6 @@ func analyzeProgram(insns []Instruction, res helperResolver) *absint.Result {
 	return absint.Analyze(absInsns(insns), absintOpts(res))
 }
 
-// jitFactsFrom projects an analysis result into the compiler-facing
-// fact set. Non-OK results yield nil: pruning decisions are only ever
-// taken from a proof that covers the whole program.
-func jitFactsFrom(r *absint.Result) *jitFacts {
-	if r == nil || !r.OK {
-		return nil
-	}
-	f := &jitFacts{
-		reachable: r.Reachable,
-		branches:  make(map[int]absintBranch, len(r.Branches)),
-		worstCase: r.WorstCase,
-	}
-	for pc, br := range r.Branches {
-		f.branches[pc] = absintBranch{takenDead: br.TakenDead, fallDead: br.FallDead}
-	}
-	return f
-}
-
 // WriteAbsintReport renders an analysis result as the human-readable
 // static-analysis report shared by `snapbpf-bench -absint-report` and
 // `snapbpf-ebpf-check`: verdict, worst-case cost, then every finding

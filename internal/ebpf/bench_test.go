@@ -26,46 +26,6 @@ func benchProgram() []Instruction {
 func BenchmarkInterpreterCaptureShaped(b *testing.B) {
 	vm := NewVM()
 	prog := vm.MustLoad("bench", benchProgram())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := prog.Interp(nil, 1, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkJITCaptureShaped is the acceptance benchmark for the
-// template JIT: the same capture-shaped program through Run on the
-// default engine.
-func BenchmarkJITCaptureShaped(b *testing.B) {
-	vm := NewVM()
-	prog := vm.MustLoad("bench", benchProgram())
-	if prog.jit == nil {
-		b.Fatal("bench program did not compile")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := prog.Run(nil, 1, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkJITCaptureShapedPruned is the same acceptance benchmark
-// with absint pruning enabled at load: dead-branch facts feed the
-// block compiler, and the per-run cost must not regress.
-func BenchmarkJITCaptureShapedPruned(b *testing.B) {
-	vm := NewVM()
-	SetAbsintPrune(true)
-	prog, err := vm.Load("bench", benchProgram())
-	SetAbsintPrune(false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if prog.jit == nil {
-		b.Fatal("bench program did not compile")
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -88,32 +48,6 @@ func BenchmarkInterpreterTightLoop(b *testing.B) {
 	}
 	vm := NewVM()
 	prog := vm.MustLoad("loop", insns)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := prog.Interp(nil, 1000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkJITTightLoop is the tight-loop program on the JIT: the
-// block walk pays one indirect call per closure instead of one
-// dispatch per instruction.
-func BenchmarkJITTightLoop(b *testing.B) {
-	insns := []Instruction{
-		{Op: ClassALU64 | OpMov | SrcK, Dst: R0, Imm: 0},
-		{Op: ClassALU64 | OpMov | SrcK, Dst: R2, Imm: 0},
-		{Op: ClassJMP | OpJge | SrcX, Dst: R2, Src: R1, Off: 3},
-		{Op: ClassALU64 | OpAdd | SrcK, Dst: R2, Imm: 1},
-		{Op: ClassALU64 | OpAdd | SrcX, Dst: R0, Src: R2},
-		{Op: ClassJMP | OpJa, Off: -4},
-		{Op: ClassJMP | OpExit},
-	}
-	vm := NewVM()
-	prog := vm.MustLoad("loop", insns)
-	if prog.jit == nil {
-		b.Fatal("loop program did not compile")
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -189,24 +123,6 @@ func BenchmarkInterpreterMapHelpers(b *testing.B) {
 	vm := NewVM()
 	fd := vm.RegisterMap(MustNewMap(MapTypeHash, "ws", 1<<20))
 	prog := vm.MustLoad("maps", mapHelperProgram(fd))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := prog.Interp(nil, uint64(i)%(1<<18), uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkJITMapHelpers is the helper-dominated program on the JIT:
-// each call and its whole mov/add argument preamble fuse into one
-// closure.
-func BenchmarkJITMapHelpers(b *testing.B) {
-	vm := NewVM()
-	fd := vm.RegisterMap(MustNewMap(MapTypeHash, "ws", 1<<20))
-	prog := vm.MustLoad("maps", mapHelperProgram(fd))
-	if prog.jit == nil {
-		b.Fatal("maps program did not compile")
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"snapbpf/internal/cluster"
-	"snapbpf/internal/ebpf"
 	"snapbpf/internal/workload"
 )
 
@@ -172,29 +171,6 @@ func TestClusterHostNamesMetamorphic(t *testing.T) {
 	if got.CSV() != want.CSV() {
 		t.Errorf("host names changed the CSV:\n--- renamed ---\n%s--- base ---\n%s",
 			got.CSV(), want.CSV())
-	}
-}
-
-// The eBPF engine may change how fast the cluster table computes,
-// never its bytes.
-func TestClusterEnginesIdentical(t *testing.T) {
-	if raceEnabled {
-		t.Skip("byte-pinning is value-level; the non-race suite covers it")
-	}
-	runWith := func(e ebpf.Engine) string {
-		prev := ebpf.DefaultEngine()
-		ebpf.SetDefaultEngine(e)
-		defer ebpf.SetDefaultEngine(prev)
-		tbl, err := Cluster(cheapClusterOptions(ClusterParams{}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tbl.CSV()
-	}
-	interp := runWith(ebpf.EngineInterp)
-	jit := runWith(ebpf.EngineJIT)
-	if interp != jit {
-		t.Errorf("cluster CSV differs across engines:\n--- interp ---\n%s--- jit ---\n%s", interp, jit)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 )
 
 // Format magics.
@@ -118,6 +119,42 @@ func (cr *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// maxPrealloc caps how many elements a decoder allocates on the word
+// of a header count alone. Past it, slices grow only as records
+// arrive, so a forged count costs a constant factor of the bytes
+// actually read rather than of the count it claims.
+const maxPrealloc = 1 << 12
+
+// readWords reads n little-endian 8-byte values, growing the result at
+// most maxPrealloc values at a time.
+func readWords[T int64 | uint64](r io.Reader, n int64) ([]T, error) {
+	out := make([]T, 0, min(n, maxPrealloc))
+	for rest := n; rest > 0; {
+		k := int(min(rest, maxPrealloc))
+		old := len(out)
+		out = slices.Grow(out, k)[:old+k]
+		if err := binary.Read(r, binary.LittleEndian, out[old:]); err != nil {
+			return nil, err
+		}
+		rest -= int64(k)
+	}
+	return out, nil
+}
+
+// readGroups reads n (start, npages) records, growing the result as
+// records arrive (see maxPrealloc).
+func readGroups(r io.Reader, n int64) ([]Group, error) {
+	out := make([]Group, 0, min(n, maxPrealloc))
+	for i := int64(0); i < n; i++ {
+		var v [2]int64
+		if err := binary.Read(r, binary.LittleEndian, v[:]); err != nil {
+			return nil, err
+		}
+		out = append(out, Group{Start: v[0], NPages: v[1]})
+	}
+	return out, nil
+}
+
 func writeHeader(w io.Writer, magic uint32) error {
 	if err := binary.Write(w, binary.LittleEndian, magic); err != nil {
 		return err
@@ -180,16 +217,12 @@ func ReadMemoryImage(r io.Reader) (*MemoryImage, error) {
 	if nrPages <= 0 || nrPages > 1<<32 || nrFree < 0 || nrFree > nrPages {
 		return nil, fmt.Errorf("snapshot: implausible memory image header (%d pages, %d free)", nrPages, nrFree)
 	}
-	m := &MemoryImage{
-		NrPages:    nrPages,
-		StatePages: statePages,
-		PageTags:   make([]uint64, nrPages),
-		FreePFNs:   make([]int64, nrFree),
-	}
-	if err := binary.Read(cr, binary.LittleEndian, m.PageTags); err != nil {
+	m := &MemoryImage{NrPages: nrPages, StatePages: statePages}
+	var err error
+	if m.PageTags, err = readWords[uint64](cr, nrPages); err != nil {
 		return nil, fmt.Errorf("snapshot: truncated page tags: %w", err)
 	}
-	if err := binary.Read(cr, binary.LittleEndian, m.FreePFNs); err != nil {
+	if m.FreePFNs, err = readWords[int64](cr, nrFree); err != nil {
 		return nil, fmt.Errorf("snapshot: truncated free-pfn list: %w", err)
 	}
 	sum := cr.crc

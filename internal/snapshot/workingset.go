@@ -180,14 +180,11 @@ func ReadOffsetsWS(r io.Reader) (*OffsetsWS, error) {
 	if n < 0 || n > 1<<30 {
 		return nil, fmt.Errorf("snapshot: implausible group count %d", n)
 	}
-	ws := &OffsetsWS{Groups: make([]Group, n)}
-	for i := range ws.Groups {
-		var v [2]int64
-		if err := binary.Read(cr, binary.LittleEndian, v[:]); err != nil {
-			return nil, fmt.Errorf("snapshot: truncated offsets ws: %w", err)
-		}
-		ws.Groups[i] = Group{Start: v[0], NPages: v[1]}
+	groups, err := readGroups(cr, n)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: truncated offsets ws: %w", err)
 	}
+	ws := &OffsetsWS{Groups: groups}
 	sum := cr.crc
 	var want uint32
 	if err := binary.Read(r, binary.LittleEndian, &want); err != nil {
@@ -233,11 +230,12 @@ func ReadPagedWS(r io.Reader) (*PagedWS, error) {
 	if n < 0 || n > 1<<30 {
 		return nil, fmt.Errorf("snapshot: implausible page count %d", n)
 	}
-	ws := &PagedWS{Pages: make([]int64, n), Tags: make([]uint64, n)}
-	if err := binary.Read(cr, binary.LittleEndian, ws.Pages); err != nil {
+	ws := &PagedWS{}
+	var err error
+	if ws.Pages, err = readWords[int64](cr, n); err != nil {
 		return nil, fmt.Errorf("snapshot: truncated paged ws: %w", err)
 	}
-	if err := binary.Read(cr, binary.LittleEndian, ws.Tags); err != nil {
+	if ws.Tags, err = readWords[uint64](cr, n); err != nil {
 		return nil, fmt.Errorf("snapshot: truncated paged ws tags: %w", err)
 	}
 	sum := cr.crc
@@ -282,14 +280,11 @@ func ReadRegionWS(r io.Reader) (*RegionWS, error) {
 	if n < 0 || n > 1<<30 {
 		return nil, fmt.Errorf("snapshot: implausible region count %d", n)
 	}
-	ws := &RegionWS{Regions: make([]Group, n), WSPages: wsPages}
-	for i := range ws.Regions {
-		var v [2]int64
-		if err := binary.Read(cr, binary.LittleEndian, v[:]); err != nil {
-			return nil, fmt.Errorf("snapshot: truncated region ws: %w", err)
-		}
-		ws.Regions[i] = Group{Start: v[0], NPages: v[1]}
+	regions, err := readGroups(cr, n)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: truncated region ws: %w", err)
 	}
+	ws := &RegionWS{Regions: regions, WSPages: wsPages}
 	sum := cr.crc
 	var want uint32
 	if err := binary.Read(r, binary.LittleEndian, &want); err != nil {

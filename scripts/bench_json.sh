@@ -1,29 +1,20 @@
 #!/usr/bin/env bash
 # Runs the hot-path microbenchmarks and writes a machine-readable
 # snapshot to results/bench.json: ns/op, B/op and allocs/op for every
-# benchmark in the measured packages, stamped with the git state and
-# eBPF engine so two snapshots are only ever compared like-for-like.
+# benchmark in the measured packages, stamped with the git state so two
+# snapshots are only ever compared like-for-like.
 #
 # Per-experiment wall-clock timings are embedded from
 # results/timing.json when that file exists (regenerate it with
 # `go run ./cmd/snapbpf-bench -timing results/timing.json ...`); the
-# timing file carries its own git_state/engine/workers stamp.
+# timing file carries its own git_state/workers stamp.
 #
 # Usage: scripts/bench_json.sh [out.json]
 #   SNAPBPF_BENCHTIME=50000x  iterations per benchmark (default 20000x)
-#   SNAPBPF_EBPF_ENGINE=...   engine stamped + used for the run
 set -euo pipefail
 
 out="${1:-results/bench.json}"
 benchtime="${SNAPBPF_BENCHTIME:-20000x}"
-engine="${SNAPBPF_EBPF_ENGINE:-jit}"
-case "$engine" in
-  jit|interp) ;;
-  *)
-    echo "bench_json.sh: unknown engine '$engine' (valid: jit, interp)" >&2
-    exit 2
-    ;;
-esac
 pkgs=(./internal/ebpf ./internal/obs ./internal/pagecache)
 
 git_state="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
@@ -34,16 +25,14 @@ fi
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 for pkg in "${pkgs[@]}"; do
-  SNAPBPF_EBPF_ENGINE="$engine" \
-    go test -run '^$' -bench . -benchmem -benchtime "$benchtime" -count=1 "$pkg" |
-    tee -a "$tmp" >&2
+  go test -run '^$' -bench . -benchmem -benchtime "$benchtime" -count=1 "$pkg" |
+  tee -a "$tmp" >&2
 done
 
 mkdir -p "$(dirname "$out")"
 {
   printf '{\n'
   printf '  "git_state": "%s",\n' "$git_state"
-  printf '  "engine": "%s",\n' "$engine"
   printf '  "benchtime": "%s",\n' "$benchtime"
   printf '  "benchmarks": [\n'
   # go test -bench lines: Name-P  iters  <value unit>... where the

@@ -26,6 +26,7 @@ declare -A floors=(
   [snapbpf/internal/calib]=85.0
   [snapbpf/internal/obs]=64.0
   [snapbpf/internal/store]=88.0
+  [snapbpf/internal/snapshot]=87.0
   [snapbpf/internal/analysis]=98.0
   [snapbpf/internal/analysis/passes/detnondet]=89.0
   [snapbpf/internal/analysis/passes/maporder]=95.0
