@@ -15,7 +15,7 @@
 //	snapbpf-bench -check               # arm the invariant-checking harness
 //	snapbpf-bench -trace t.json        # write a Chrome trace of every cell
 //	snapbpf-bench -metrics m.json      # write metrics JSON + Prometheus text
-//	snapbpf-bench -fitness             # score results vs the paper's numbers
+//	snapbpf-bench -fitness             # score results vs the paper's numbers and claims
 //	snapbpf-bench -replay json         # counterfactual prefetch-decision replay
 //	snapbpf-bench -exp cluster -hosts 8 -router affinity -keepalive 2
 //	                                   # region-scale run: 8 hosts, one router/budget cell
@@ -42,7 +42,6 @@ import (
 	"snapbpf/internal/experiments"
 	"snapbpf/internal/faults"
 	"snapbpf/internal/obs"
-	"snapbpf/internal/paper"
 	"snapbpf/internal/store"
 	"snapbpf/internal/workload"
 )
@@ -53,7 +52,6 @@ func main() {
 		fnFlag     = flag.String("funcs", "", "comma-separated function names (default: full suite)")
 		csvDir     = flag.String("csv", "", "directory to write per-experiment CSV files")
 		report     = flag.String("report", "", "write a combined markdown report to this file")
-		verify     = flag.Bool("verify", false, "check the paper's claims against the results")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		verbose    = flag.Bool("v", false, "per-cell progress on stderr")
 		parallel   = flag.Int("parallel", 0, "measurement-cell workers: 0 = one per CPU, 1 = serial")
@@ -63,7 +61,7 @@ func main() {
 		checkInv   = flag.Bool("check", false, "arm the invariant-checking harness on every cell (fails on violations)")
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON covering every cell to this file (open in chrome://tracing)")
 		metricsJS  = flag.String("metrics", "", "write the metrics document to this JSON file, plus Prometheus text next to it (.prom)")
-		fitness    = flag.Bool("fitness", false, "score the regenerated figures against the paper's published values; nonzero exit on drift")
+		fitness    = flag.Bool("fitness", false, "score the regenerated figures against the paper's published values and claims; nonzero exit on drift or a broken claim")
 		fitnessOut = flag.String("fitness-out", "results/fitness.json", "where -fitness writes its JSON verdict")
 		replayFns  = flag.String("replay", "", "comma-separated function names: counterfactual prefetch-decision replay instead of experiments")
 		replayK    = flag.Int("replay-k", 3, "alternative schedules to replay per function, beyond the recorded one")
@@ -242,6 +240,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "metrics written to %s and %s\n", *metricsJS, promPath)
 	}
 
+	if *report != "" {
+		if err := os.WriteFile(*report, []byte(renderReport(order, tables)), 0o644); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintln(os.Stderr, "report written to", *report)
+	}
+
 	if *fitness {
 		rep, err := calib.Evaluate(tables, calib.References(),
 			calib.Options{AllowMissingRows: *fnFlag != ""})
@@ -249,6 +254,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(rep.VerdictTable().Render())
+		fmt.Println(rep.ClaimTable().Render())
 		if err := mkdirFor(*fitnessOut); err != nil {
 			fatal(err)
 		}
@@ -257,27 +263,8 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "fitness verdicts written to", *fitnessOut)
 		if !rep.Pass {
-			fatal(fmt.Errorf("fitness: drift alarm: at least one figure exceeds its tolerance band (see %s)", *fitnessOut))
+			fatal(fmt.Errorf("fitness: drift alarm: a figure exceeds its tolerance band or a claim is broken (see %s)", *fitnessOut))
 		}
-	}
-
-	if *verify {
-		fmt.Println("== paper claim verification ==")
-		for _, r := range paper.CheckAll(tables) {
-			mark := "HOLDS "
-			if !r.Holds {
-				mark = "BROKEN"
-			}
-			fmt.Printf("[%s] %s\n        measured: %s\n", mark, r.Claim.Statement, r.Measured)
-		}
-		fmt.Println()
-	}
-
-	if *report != "" {
-		if err := os.WriteFile(*report, []byte(renderReport(order, tables)), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(os.Stderr, "report written to", *report)
 	}
 }
 
@@ -312,12 +299,12 @@ func renderReport(order []string, tables map[string]*experiments.Table) string {
 	sb.WriteString("Generated by `snapbpf-bench -report`. All timings are virtual\n")
 	sb.WriteString("(deterministic simulation); see DESIGN.md for the methodology.\n\n")
 	sb.WriteString("## Paper claims\n\n")
-	for _, r := range paper.CheckAll(tables) {
+	for _, r := range calib.CheckClaims(tables) {
 		mark := "✅"
 		if !r.Holds {
 			mark = "❌"
 		}
-		fmt.Fprintf(&sb, "- %s %s\n  - measured: %s\n", mark, r.Claim.Statement, r.Measured)
+		fmt.Fprintf(&sb, "- %s %s\n  - measured: %s\n", mark, r.Statement, r.Measured)
 	}
 	sb.WriteString("\n## Tables\n")
 	for _, id := range order {

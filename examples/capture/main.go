@@ -36,31 +36,20 @@ func main() {
 	}
 
 	// Build the snapshot and place it on a fresh simulated host.
-	host := snapbpf.NewHost(snapbpf.MicronSATA5300())
-	image := snapbpf.BuildImage(fn, false)
-	snapInode := host.RegisterSnapshot(fn.Name+".snapmem", image)
-
-	env := &snapbpf.Env{
-		Host:        host,
-		Fn:          fn,
-		Image:       image,
-		SnapInode:   snapInode,
-		RecordTrace: fn.GenTrace(),
-		InvokeTrace: fn.GenTrace(),
-	}
+	tb := snapbpf.NewTestbed(snapbpf.MicronSATA5300())
+	f := tb.AddFunction(fn, snapbpf.SchemeSnapBPF, fn.Name+".snapmem")
 
 	// Record phase: the capture eBPF program hooks
 	// add_to_page_cache_lru and logs every snapshot page offset the
 	// invocation faults in, with readahead disabled.
-	s := snapbpf.New()
 	var recErr error
-	host.Eng.Go("record", func(p *snapbpf.Proc) { recErr = s.Record(p, env) })
-	host.Eng.Run()
+	tb.Eng.Go("record", func(p *snapbpf.Proc) { recErr = f.PF.Record(p, f.Env) })
+	tb.Eng.Run()
 	if recErr != nil {
 		log.Fatal(recErr)
 	}
 
-	ws := s.WorkingSet()
+	ws := f.PF.(*snapbpf.SnapBPF).WorkingSet()
 	fmt.Printf("captured working set of %q:\n", fn.Name)
 	fmt.Printf("  %d pages (%.1f MiB) in %d contiguous groups\n",
 		ws.TotalPages(), units.PagesToMiB(ws.TotalPages()), len(ws.Groups))
@@ -81,7 +70,7 @@ func main() {
 	}
 	imgPath := filepath.Join(dir, fn.Name+".snapmem")
 	wsPath := filepath.Join(dir, fn.Name+".snapbpf-ws")
-	if err := image.SaveFile(imgPath); err != nil {
+	if err := f.Env.Image.SaveFile(imgPath); err != nil {
 		log.Fatal(err)
 	}
 	if err := ws.SaveFile(wsPath); err != nil {

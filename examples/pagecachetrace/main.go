@@ -18,7 +18,8 @@ import (
 )
 
 func main() {
-	host := snapbpf.NewHost(snapbpf.MicronSATA5300())
+	tb := snapbpf.NewTestbed(snapbpf.MicronSATA5300())
+	host := tb.Host
 
 	// Map: inode id -> pages inserted.
 	counts, err := snapbpf.NewBPFMap(snapbpf.MapTypeHash, "inode_counts", 1024)
@@ -73,27 +74,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	image := snapbpf.BuildImage(fn, false)
-	snapInode := host.RegisterSnapshot(fn.Name+".snapmem", image)
-	env := &snapbpf.Env{
-		Host: host, Fn: fn, Image: image, SnapInode: snapInode,
-		RecordTrace: fn.GenTrace(), InvokeTrace: fn.GenTrace(),
-	}
-	l := snapbpf.NewLinuxRA()
+	f := tb.AddFunction(fn, snapbpf.SchemeLinuxRA, fn.Name+".snapmem")
 	var runErr error
 	host.Eng.Go("vm", func(p *snapbpf.Proc) {
-		vm, err := host.Restore(p, "vm0", fn, image, snapInode, l.RestoreConfig(0))
-		if err != nil {
-			runErr = err
-			return
-		}
-		if err := l.PrepareVM(p, env, vm); err != nil {
-			runErr = err
-			return
-		}
-		if _, err := vm.Invoke(p, env.InvokeTrace); err != nil {
-			runErr = err
-		}
+		_, _, _, runErr = f.ColdStart(p, "vm0", 0, f.Env.InvokeTrace)
 	})
 	host.Eng.Run()
 	if runErr != nil {

@@ -1,4 +1,4 @@
-package paper
+package calib
 
 import (
 	"strings"
@@ -164,20 +164,20 @@ func TestCheckAllRunsEveryPresentClaim(t *testing.T) {
 			[]string{"Function", "Linux-RA", "PVPTEs", "SnapBPF"},
 			[]string{"image", "1.00", "0.42", "0.33"}),
 	}
-	res := CheckAll(tables)
+	res := CheckClaims(tables)
 	// fig3a has one claim; fig4 has two.
 	if len(res) != 3 {
 		t.Fatalf("results = %d, want 3", len(res))
 	}
 	for _, r := range res {
 		if !r.Holds {
-			t.Fatalf("claim unexpectedly broken: %s (%s)", r.Claim.Statement, r.Measured)
+			t.Fatalf("claim unexpectedly broken: %s (%s)", r.Statement, r.Measured)
 		}
 	}
 }
 
 func TestCheckAllSkipsMissingTables(t *testing.T) {
-	res := CheckAll(map[string]*experiments.Table{})
+	res := CheckClaims(map[string]*experiments.Table{})
 	if len(res) != 0 {
 		t.Fatalf("results for no tables: %v", res)
 	}
@@ -192,5 +192,36 @@ func TestClaimsCoverHeadlineExperiments(t *testing.T) {
 		if !covered[want] {
 			t.Fatalf("no claim for %s", want)
 		}
+	}
+}
+
+// TestEvaluateGatesClaims: the claims are a scorer of Evaluate, so a
+// broken claim fails the report even with no reference figure, the
+// verdicts travel in the JSON and the claim table, and a table missing
+// the columns a claim reads fails that claim instead of panicking.
+func TestEvaluateGatesClaims(t *testing.T) {
+	cols := []string{"Function", "REAP", "FaaSnap", "SnapBPF", "SnapBPF (s)"}
+	for _, c := range []struct {
+		tbl  *experiments.Table
+		pass bool
+	}{
+		{tableWith("fig3a", cols, []string{"json", "1.20", "1.05", "1.00", "0.1"}), true},
+		{tableWith("fig3a", cols, []string{"json", "0.60", "1.05", "1.00", "0.1"}), false},
+		{tableWith("fig3a", []string{"Function"}, []string{"json"}), false},
+	} {
+		rep, err := Evaluate(map[string]*experiments.Table{"fig3a": c.tbl}, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Pass != c.pass || len(rep.Claims) != 1 {
+			t.Fatalf("%v: pass = %v, claims %+v", c.tbl.Rows, rep.Pass, rep.Claims)
+		}
+		if !c.pass && (!strings.Contains(string(rep.JSON()), `"holds": false`) ||
+			!strings.Contains(rep.ClaimTable().Render(), "BROKEN")) {
+			t.Errorf("broken claim missing from JSON or table:\n%s", rep.JSON())
+		}
+	}
+	if _, err := Evaluate(map[string]*experiments.Table{"other": {}}, nil, Options{}); err == nil {
+		t.Error("no figure and no claim scored: want error")
 	}
 }

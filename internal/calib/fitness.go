@@ -50,15 +50,18 @@ type FigureFitness struct {
 type Report struct {
 	Pass    bool            `json:"pass"`
 	Figures []FigureFitness `json:"figures"`
+	Claims  []ClaimVerdict  `json:"claims,omitempty"`
 }
 
-// Evaluate scores each regenerated table against its reference figure.
-// Reference figures with no table in the run are skipped (the run
-// chose a subset of experiments); evaluating zero figures is an error.
-// Pairing is by (row key, column name), so row order and column order
-// of the table cannot affect the result.
+// Evaluate runs both scorers over the regenerated tables: each table
+// against its reference figure, then the paper's claims (Claims). The
+// report passes only if every figure is within its band and every
+// claim holds. Figures and claims with no table in the run are skipped
+// (the run chose a subset of experiments); scoring nothing at all is an
+// error. Figure pairing is by (row key, column name), so row order and
+// column order of the table cannot affect the result.
 func Evaluate(tables map[string]*experiments.Table, refs []RefFigure, opts Options) (*Report, error) {
-	rep := &Report{Pass: true}
+	rep := &Report{Pass: true, Claims: CheckClaims(tables)}
 	for _, ref := range refs {
 		tbl := tables[ref.ID]
 		if tbl == nil {
@@ -66,11 +69,16 @@ func Evaluate(tables map[string]*experiments.Table, refs []RefFigure, opts Optio
 		}
 		rep.Figures = append(rep.Figures, evalFigure(tbl, ref, opts))
 	}
-	if len(rep.Figures) == 0 {
-		return nil, fmt.Errorf("calib: no reference figure matches the run's tables")
+	if len(rep.Figures) == 0 && len(rep.Claims) == 0 {
+		return nil, fmt.Errorf("calib: no reference figure or claim matches the run's tables")
 	}
 	for _, f := range rep.Figures {
 		if !f.Pass {
+			rep.Pass = false
+		}
+	}
+	for _, c := range rep.Claims {
+		if !c.Holds {
 			rep.Pass = false
 		}
 	}

@@ -1,105 +1,6 @@
 package check
 
-import (
-	"strings"
-	"testing"
-
-	"snapbpf/internal/blockdev"
-	"snapbpf/internal/prefetch"
-	"snapbpf/internal/sim"
-	"snapbpf/internal/vmm"
-	"snapbpf/internal/workload"
-)
-
-// runChecked drives one restore+invoke of the demand-paging baseline
-// under a fresh checker and returns the pieces a test needs to poke at.
-func runChecked(t *testing.T) (*Checker, *vmm.Host, *vmm.MicroVM, *prefetch.Env) {
-	t.Helper()
-	fn, err := workload.ByName("json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := vmm.NewHost(blockdev.MicronSATA5300())
-	chk := New(h, nil)
-	pf := prefetch.NewLinuxNoRA()
-	img := vmm.BuildImage(fn, false)
-	ino := h.RegisterSnapshot(fn.Name+".snapmem", img)
-	chk.RegisterFileTags(ino, img.PageTags)
-	env := &prefetch.Env{
-		Host: h, Fn: fn, Image: img, SnapInode: ino,
-		RecordTrace: fn.GenTrace(), InvokeTrace: fn.GenTrace(),
-		Check: chk,
-	}
-	var vm *vmm.MicroVM
-	h.Eng.Go("vm0", func(p *sim.Proc) {
-		v, err := h.Restore(p, "vm0", fn, img, ino, pf.RestoreConfig(0))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		vm = v
-		if err := pf.PrepareVM(p, env, vm); err != nil {
-			t.Error(err)
-			return
-		}
-		vm.MarkPrepared(p)
-		if _, err := vm.Invoke(p, env.InvokeTrace); err != nil {
-			t.Error(err)
-			return
-		}
-		pf.FinishVM(env, vm)
-	})
-	h.Eng.Run()
-	if t.Failed() || vm == nil {
-		t.FailNow()
-	}
-	return chk, h, vm, env
-}
-
-// TestCleanRunHasNoViolations is the positive control: a healthy
-// demand-paging run armed with the checker finishes clean and yields a
-// digest.
-func TestCleanRunHasNoViolations(t *testing.T) {
-	chk, _, vm, _ := runChecked(t)
-	if d := chk.VMDone(vm); d == 0 {
-		t.Error("digest is zero")
-	}
-	vm.Shutdown()
-	if err := chk.Finish(); err != nil {
-		t.Fatalf("clean run reported violations: %v", err)
-	}
-}
-
-// TestBrokenDedupCounterCaught corrupts the page cache's rmap counter
-// directly — an extra MapPage with no address-space event behind it,
-// exactly the kind of accounting bug the dedup cross-check exists for —
-// and requires Finish to flag it.
-func TestBrokenDedupCounterCaught(t *testing.T) {
-	chk, _, vm, env := runChecked(t)
-	chk.VMDone(vm)
-
-	// Find a resident snapshot page and give it a phantom rmap ref.
-	sabotaged := int64(-1)
-	for idx := int64(0); idx < env.SnapInode.NrPages(); idx++ {
-		if env.SnapInode.Resident(idx) {
-			env.SnapInode.MapPage(idx)
-			sabotaged = idx
-			break
-		}
-	}
-	if sabotaged < 0 {
-		t.Fatal("no resident snapshot page to sabotage")
-	}
-
-	vm.Shutdown()
-	err := chk.Finish()
-	if err == nil {
-		t.Fatal("broken dedup counter not caught")
-	}
-	if !strings.Contains(err.Error(), "rmap-dedup-accounting") {
-		t.Fatalf("wrong diagnosis: %v", err)
-	}
-}
+import "testing"
 
 // TestEvolveTagDeterminism pins the oracle's write transition: pure in
 // (tag, pfn), never zero, and sensitive to both inputs.

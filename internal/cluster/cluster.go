@@ -21,26 +21,17 @@ import (
 	"time"
 
 	"snapbpf/internal/blockdev"
-	"snapbpf/internal/check"
 	"snapbpf/internal/faults"
 	"snapbpf/internal/obs"
-	"snapbpf/internal/pagecache"
-	"snapbpf/internal/prefetch"
 	"snapbpf/internal/sim"
-	"snapbpf/internal/snapshot"
 	"snapbpf/internal/store"
+	"snapbpf/internal/testbed"
 	"snapbpf/internal/units"
-	"snapbpf/internal/vmm"
 	"snapbpf/internal/workload"
 )
 
-// Scheme is a named prefetcher factory, mirroring the experiments
-// harness's type (redeclared here so cluster does not import the
-// harness that drives it).
-type Scheme struct {
-	Name string
-	New  func() prefetch.Prefetcher
-}
+// Scheme is a named prefetcher factory (see testbed.Scheme).
+type Scheme = testbed.Scheme
 
 // Config describes one cluster run.
 type Config struct {
@@ -103,66 +94,24 @@ type Config struct {
 	Store *store.Setup
 }
 
-// hostFn is one (host, function) serving context: the prefetcher and
-// artifacts built during that host's record phase.
+// hostFn is one (host, function) serving context: the snapshot and
+// prefetcher built during that host's record phase.
 type hostFn struct {
-	fn       workload.Function
-	pf       prefetch.Prefetcher
-	env      *prefetch.Env
-	img      *snapshot.MemoryImage
-	inode    *pagecache.Inode
-	bind     *store.Binding // nil when the snapshot is on local SSD
-	warmExec time.Duration  // pure compute time of one invocation
+	*testbed.Func
+	warmExec time.Duration // pure compute time of one invocation
 }
 
 // host is one machine of the region.
 type host struct {
-	idx   int
-	name  string
-	h     *vmm.Host
-	inj   *faults.Injector
-	chk   *check.Checker
-	rec   *obs.Recorder
-	cache *store.HostCache // nil when the snapshot is on local SSD
-	fns   map[string]*hostFn
-	pool  warmPool
+	*testbed.Host
+	idx  int
+	name string
+	fns  map[string]*hostFn
+	pool warmPool
 
 	active      int // in-flight invocations (router load signal)
 	cold, warm  int
 	warmEvicted int
-}
-
-// simHead returns the host's engine-event observer head: the recorder
-// when armed (it forwards to the checker), else the checker.
-func (h *host) simHead() sim.Observer {
-	if h.rec != nil {
-		return h.rec
-	}
-	if h.chk != nil {
-		return h.chk
-	}
-	return nil
-}
-
-// multiSimObserver fans engine events out to every host's observer
-// chain: the engine has a single observer slot, but each host's
-// checker watches clock monotonicity independently.
-type multiSimObserver []sim.Observer
-
-func (m multiSimObserver) EventScheduled(at sim.Time) {
-	for _, o := range m {
-		if o != nil {
-			o.EventScheduled(at)
-		}
-	}
-}
-
-func (m multiSimObserver) ClockAdvanced(now sim.Time) {
-	for _, o := range m {
-		if o != nil {
-			o.ClockAdvanced(now)
-		}
-	}
 }
 
 // runState is the live dispatch state shared by the front end and the
@@ -195,9 +144,6 @@ func validate(cfg *Config) error {
 	}
 	if cfg.Scheme.New == nil {
 		return fmt.Errorf("cluster: no scheme configured")
-	}
-	if cfg.Device.Name == "" {
-		cfg.Device = blockdev.MicronSATA5300()
 	}
 	if cfg.Router == "" {
 		cfg.Router = RouterRoundRobin
@@ -291,98 +237,32 @@ func Run(cfg Config) (*Result, error) {
 	// --- Build the region: N hosts on one engine ---
 	eng := sim.NewEngine()
 	hosts := make([]*host, cfg.Hosts)
+	tbs := make([]*testbed.Host, cfg.Hosts)
 	var remote *store.Remote
 	if cfg.Store != nil && cfg.Store.Tier != store.TierLocal {
 		// One remote per region: per-chunk duplicate accounting across
 		// hosts is exactly the cross-host dedup the report surfaces.
 		remote = store.NewRemote(cfg.Store.Params)
 	}
-	var simHeads []sim.Observer
 	for i := range hosts {
 		name := fmt.Sprintf("host%d", i)
 		if len(cfg.HostNames) > 0 {
 			name = cfg.HostNames[i]
 		}
-		hv := vmm.NewHostOnEngine(eng, cfg.Device)
-		ho := &host{idx: i, name: name, h: hv, fns: make(map[string]*hostFn, len(fnNames))}
-		if p := hostPlan(&cfg, i); p != nil {
-			ho.inj = faults.NewInjector(*p)
-		}
-		hv.Dev.SetFaults(ho.inj)
-		if cfg.Check {
-			ho.chk = check.New(hv, ho.inj)
-		}
-		if cfg.Obs.Enabled() {
-			var next obs.Chain
-			if ho.chk != nil {
-				c := ho.chk
-				next = obs.Chain{Sim: c, Dev: c, Cache: c, MM: c, KVM: c, Prefetch: c, Store: c}
-			}
-			ho.rec = obs.Attach(hv, *cfg.Obs, next)
-		}
-		if remote != nil {
-			ho.cache = store.NewHostCache(eng, remote, ho.inj)
-			switch {
-			case ho.rec != nil:
-				ho.cache.SetObserver(ho.rec)
-			case ho.chk != nil:
-				ho.cache.SetObserver(ho.chk)
-			}
-			if ho.chk != nil {
-				ho.chk.AttachStore(ho.cache)
-			}
-		}
+		tb := testbed.New(eng, testbed.Config{
+			Device: cfg.Device, Faults: hostPlan(&cfg, i), Check: cfg.Check, Obs: cfg.Obs,
+			Store: cfg.Store, Remote: remote, CacheLimitPages: cfg.CacheLimitPages,
+		})
+		ho := &host{Host: tb, idx: i, name: name, fns: make(map[string]*hostFn, len(fnNames))}
 		for _, fname := range fnNames {
-			fn := fnByName[fname]
-			pf := cfg.Scheme.New()
-			img := vmm.BuildImage(fn, pf.RestoreConfig(0).ZeroOnFree)
-			inode := hv.RegisterSnapshot(name+"/"+fn.Name+".snapmem", img)
-			if ho.chk != nil {
-				ho.chk.RegisterFileTags(inode, img.PageTags)
-			}
-			env := &prefetch.Env{
-				Host:        hv,
-				Fn:          fn,
-				Image:       img,
-				SnapInode:   inode,
-				RecordTrace: fn.GenTrace(),
-				InvokeTrace: fn.GenTrace(),
-				Faults:      ho.inj,
-			}
-			switch {
-			case ho.rec != nil:
-				env.Check = ho.rec
-			case ho.chk != nil:
-				env.Check = ho.chk
-			}
-			var bind *store.Binding
-			if ho.cache != nil {
-				man := store.BuildManifest(fn.Name, img.PageTags, remote.Params().ChunkPages)
-				bind = ho.cache.Bind(man, cfg.Store.Policy, img.PageTags)
-				inode.SetStager(bind)
-				env.ChunkPlan = bind.Plan
-			}
-			ho.fns[fname] = &hostFn{
-				fn: fn, pf: pf, env: env, img: img, inode: inode, bind: bind,
-				warmExec: env.InvokeTrace.Summarize().TotalCompute,
-			}
+			f := tb.AddFunction(fnByName[fname], cfg.Scheme, name+"/"+fname+".snapmem")
+			ho.fns[fname] = &hostFn{Func: f, warmExec: f.Env.InvokeTrace.Summarize().TotalCompute}
 		}
-		if head := ho.simHead(); head != nil {
-			simHeads = append(simHeads, head)
-		}
-		hosts[i] = ho
+		hosts[i], tbs[i] = ho, tb
 	}
-	// The engine observer slot is single; fan out so every host's
-	// checker/recorder sees the region-wide clock stream. (Per-host
-	// sim-event counters are therefore region-global — documented in
-	// DESIGN.md §13.)
-	switch len(simHeads) {
-	case 0:
-	case 1:
-		eng.SetObserver(simHeads[0])
-	default:
-		eng.SetObserver(multiSimObserver(simHeads))
-	}
+	// Per-host sim-event counters are region-global — documented in
+	// DESIGN.md §13.
+	testbed.ShareClock(eng, tbs)
 
 	// --- Record phase: sequential per (host index, sorted function) ---
 	var recErr error
@@ -390,7 +270,7 @@ func Run(cfg Config) (*Result, error) {
 		for _, ho := range hosts {
 			for _, fname := range fnNames {
 				hf := ho.fns[fname]
-				if err := hf.pf.Record(p, hf.env); err != nil {
+				if err := hf.PF.Record(p, hf.Env); err != nil {
 					recErr = fmt.Errorf("record %s/%s: %w", ho.name, fname, err)
 					return
 				}
@@ -402,30 +282,9 @@ func Run(cfg Config) (*Result, error) {
 		return nil, recErr
 	}
 	for _, ho := range hosts {
-		ho.h.Cache.DropCaches()
-		ho.h.Dev.ResetStats()
-		ho.h.Cache.SetMemLimit(cfg.CacheLimitPages)
+		ho.EndRecord(ho.name + "/store-preload")
 	}
-	if remote != nil {
-		switch cfg.Store.Tier {
-		case store.TierCold:
-			for _, ho := range hosts {
-				ho.cache.Drop()
-			}
-		case store.TierWarm:
-			// Preload every host's chunk cache through the normal fetch
-			// path, one proc per host, drained before dispatch begins.
-			for _, ho := range hosts {
-				ho := ho
-				eng.Go(ho.name+"/store-preload", func(p *sim.Proc) {
-					for _, fname := range fnNames {
-						ho.fns[fname].bind.Preload(p)
-					}
-				})
-			}
-			eng.Run()
-		}
-	}
+	eng.Run()
 
 	// --- Invocation phase: front end dispatches the arrival stream ---
 	rt, err := newRouter(cfg.Router)
@@ -487,29 +346,19 @@ func Run(cfg Config) (*Result, error) {
 			Name:           ho.name,
 			Cold:           ho.cold,
 			Warm:           ho.warm,
-			SystemMemory:   units.PagesToBytes(ho.h.MM.SystemMemoryPages()),
-			DeviceBytes:    ho.h.Dev.Stats().BytesRead,
-			DeviceRequests: ho.h.Dev.Stats().Requests,
-			Evictions:      ho.h.Cache.Evictions(),
+			SystemMemory:   units.PagesToBytes(ho.MM.SystemMemoryPages()),
+			DeviceBytes:    ho.Dev.Stats().BytesRead,
+			DeviceRequests: ho.Dev.Stats().Requests,
+			Evictions:      ho.Cache.Evictions(),
 			WarmEvicted:    ho.warmEvicted,
-			Faults:         ho.inj.Report(),
 		}
 		// Drain the warm pool before checker quiescence: parked
 		// sandboxes hold address spaces the checker expects released.
 		for _, v := range ho.pool.drain() {
 			v.vm.Shutdown()
 		}
-		if ho.rec != nil {
-			hs.Obs = ho.rec.Finish()
-		}
-		if ho.chk != nil {
-			cc := ho.chk.Counts()
-			hs.CheckCounts = &cc
-		}
-		if ho.cache != nil {
-			cs := ho.cache.Stats()
-			hs.Store = &cs
-		}
+		rep := ho.Report()
+		hs.Faults, hs.Obs, hs.CheckCounts, hs.Store = rep.Faults, rep.Obs, rep.CheckCounts, rep.Store
 		res.Hosts = append(res.Hosts, hs)
 	}
 	if remote != nil {
@@ -521,7 +370,7 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		for _, ho := range hosts {
-			if err := ho.chk.Finish(); err != nil {
+			if err := ho.Verify(); err != nil {
 				return nil, fmt.Errorf("check %s: %w", ho.name, err)
 			}
 		}
@@ -545,35 +394,14 @@ func (st *runState) serve(p *sim.Proc, ho *host, inv *Invocation) {
 		st.park(ho, v, p.Now())
 	} else {
 		ho.cold++
-		vm, err := ho.h.Restore(p, fmt.Sprintf("%s/%s/%d", ho.name, inv.Tenant, inv.Seq),
-			hf.fn, hf.img, hf.inode, hf.pf.RestoreConfig(0))
+		vm, stt, digest, err := hf.ColdStart(p, fmt.Sprintf("%s/%s/%d", ho.name, inv.Tenant, inv.Seq),
+			0, hf.Env.InvokeTrace)
 		if err != nil {
 			st.fail(inv.Seq, err)
 			ho.active--
 			return
 		}
-		if hf.bind != nil {
-			hf.bind.BeginRestore(p)
-		}
-		if err := hf.pf.PrepareVM(p, hf.env, vm); err != nil {
-			st.fail(inv.Seq, err)
-			ho.active--
-			return
-		}
-		vm.MarkPrepared(p)
-		stt, err := vm.Invoke(p, hf.env.InvokeTrace)
-		if err != nil {
-			st.fail(inv.Seq, err)
-			ho.active--
-			return
-		}
-		inv.E2E = stt.E2E
-		hf.pf.FinishVM(hf.env, vm)
-		if ho.chk != nil {
-			// Digest before any teardown: the shadow page table is
-			// consumed with the address space.
-			inv.Digest = ho.chk.VMDone(vm)
-		}
+		inv.E2E, inv.Digest = stt.E2E, digest
 		st.parkOrShutdown(ho, &warmVM{vm: vm, fn: inv.Fn}, p.Now())
 	}
 	inv.Done = p.Now().Sub(st.start)

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -97,5 +98,33 @@ func TestClusterStoreWarmPreload(t *testing.T) {
 	if a.Mean != b.Mean {
 		t.Errorf("warm-tier mean E2E %v differs from local SSD %v; preloaded chunks must be free",
 			b.Mean, a.Mean)
+	}
+}
+
+// TestClusterStoreSabotageCaught mirrors the single-host sabotage
+// test: a region honours the store setup's test knobs, so a forged
+// manifest hash must be caught by a host's checker the moment the
+// chunk is fetched, and the same run without the checker completes.
+func TestClusterStoreSabotageCaught(t *testing.T) {
+	// Full download touches every chunk, so the forged one is
+	// guaranteed to be fetched and verified.
+	setup := &store.Setup{Tier: store.TierCold, Policy: store.PolicyFull, SabotageChunk: 1}
+	cfg := cluster.Config{
+		Hosts:    2,
+		Scheme:   snapBPF(),
+		Arrivals: burst(2, "json"),
+		Check:    true,
+		Store:    setup,
+	}
+	_, err := cluster.Run(cfg)
+	if err == nil {
+		t.Fatal("corrupted chunk with a stale manifest hash sailed through the region's checkers")
+	}
+	if !strings.Contains(err.Error(), "store-chunk-digest") {
+		t.Fatalf("expected a store-chunk-digest violation, got: %v", err)
+	}
+	cfg.Check = false
+	if _, err := cluster.Run(cfg); err != nil {
+		t.Fatalf("uncheckered sabotage run failed: %v", err)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"snapbpf/internal/blockdev"
 	"snapbpf/internal/ebpf"
@@ -10,6 +9,7 @@ import (
 	"snapbpf/internal/prefetch"
 	"snapbpf/internal/sim"
 	"snapbpf/internal/snapshot"
+	"snapbpf/internal/testbed"
 	"snapbpf/internal/vmm"
 	"snapbpf/internal/workload"
 )
@@ -21,17 +21,10 @@ func tinyFn() workload.Function {
 	}
 }
 
-func newEnv(fn workload.Function) *prefetch.Env {
-	h := vmm.NewHost(blockdev.MicronSATA5300())
-	img := vmm.BuildImage(fn, false)
-	return &prefetch.Env{
-		Host:        h,
-		Fn:          fn,
-		Image:       img,
-		SnapInode:   h.RegisterSnapshot(fn.Name+".snapmem", img),
-		RecordTrace: fn.GenTrace(),
-		InvokeTrace: fn.GenTrace(),
-	}
+// newFunc registers fn under s on a fresh testbed host.
+func newFunc(fn workload.Function, s *SnapBPF) *testbed.Func {
+	h := testbed.New(sim.NewEngine(), testbed.Config{})
+	return h.AddFunction(fn, testbed.Scheme{Name: s.Name(), New: func() prefetch.Prefetcher { return s }}, fn.Name+".snapmem")
 }
 
 func TestProgramsVerify(t *testing.T) {
@@ -201,9 +194,10 @@ func TestPerPageScheduleStaysWithinInsnBudget(t *testing.T) {
 		Name: "wide", MemMiB: 256, StateMiB: 200, WSMiB: 130, WSRegions: 4,
 		AllocMiB: 2, ComputeMs: 5, WriteFrac: 0.05, Seed: 5,
 	}
-	env := newEnv(fn)
 	s := New()
 	s.DisableGrouping = true // one group per page: >30k groups
+	f := newFunc(fn, s)
+	env := f.Env
 	var err error
 	env.Host.Eng.Go("rec", func(p *sim.Proc) { err = s.Record(p, env) })
 	env.Host.Eng.Run()
@@ -214,21 +208,7 @@ func TestPerPageScheduleStaysWithinInsnBudget(t *testing.T) {
 		t.Fatalf("schedule too short for the test: %d groups", len(s.WorkingSet().Groups))
 	}
 	env.Host.Cache.DropCaches()
-	env.Host.Eng.Go("vm", func(p *sim.Proc) {
-		vm, rerr := env.Host.Restore(p, "vm0", fn, env.Image, env.SnapInode, s.RestoreConfig(0))
-		if rerr != nil {
-			err = rerr
-			return
-		}
-		if perr := s.PrepareVM(p, env, vm); perr != nil {
-			err = perr
-			return
-		}
-		if _, ierr := vm.Invoke(p, env.InvokeTrace); ierr != nil {
-			err = ierr
-		}
-		s.FinishVM(env, vm)
-	})
+	env.Host.Eng.Go("vm", func(p *sim.Proc) { _, _, _, err = f.ColdStart(p, "vm0", 0, env.InvokeTrace) })
 	env.Host.Eng.Run() // panics on program abort via kprobe OnError=nil
 	if err != nil {
 		t.Fatal(err)
@@ -313,8 +293,8 @@ func TestBuildScheduleEmpty(t *testing.T) {
 
 func TestRecordCapturesWorkingSetOnly(t *testing.T) {
 	fn := tinyFn()
-	env := newEnv(fn)
 	s := New()
+	env := newFunc(fn, s).Env
 	var err error
 	env.Host.Eng.Go("rec", func(p *sim.Proc) { err = s.Record(p, env) })
 	env.Host.Eng.Run()
@@ -340,9 +320,9 @@ func TestRecordCapturesWorkingSetOnly(t *testing.T) {
 
 func TestRecordWithoutPVCapturesAllocPages(t *testing.T) {
 	fn := tinyFn()
-	env := newEnv(fn)
 	s := New()
 	s.EnablePV = false
+	env := newFunc(fn, s).Env
 	var err error
 	env.Host.Eng.Go("rec", func(p *sim.Proc) { err = s.Record(p, env) })
 	env.Host.Eng.Run()
@@ -361,9 +341,9 @@ func TestRecordWithoutPVCapturesAllocPages(t *testing.T) {
 }
 
 func TestPrepareInvokeFlow(t *testing.T) {
-	fn := tinyFn()
-	env := newEnv(fn)
 	s := New()
+	f := newFunc(tinyFn(), s)
+	env := f.Env
 	var err error
 	env.Host.Eng.Go("rec", func(p *sim.Proc) { err = s.Record(p, env) })
 	env.Host.Eng.Run()
@@ -372,31 +352,13 @@ func TestPrepareInvokeFlow(t *testing.T) {
 	}
 	env.Host.Cache.DropCaches()
 
-	var e2e time.Duration
-	env.Host.Eng.Go("vm", func(p *sim.Proc) {
-		vm, rerr := env.Host.Restore(p, "vm0", fn, env.Image, env.SnapInode, s.RestoreConfig(0))
-		if rerr != nil {
-			err = rerr
-			return
-		}
-		if perr := s.PrepareVM(p, env, vm); perr != nil {
-			err = perr
-			return
-		}
-		vm.MarkPrepared(p)
-		st, ierr := vm.Invoke(p, env.InvokeTrace)
-		if ierr != nil {
-			err = ierr
-			return
-		}
-		e2e = st.E2E
-		s.FinishVM(env, vm)
-	})
+	var st vmm.InvokeStats
+	env.Host.Eng.Go("vm", func(p *sim.Proc) { _, st, _, err = f.ColdStart(p, "vm0", 0, env.InvokeTrace) })
 	env.Host.Eng.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2e <= 0 {
+	if st.E2E <= 0 {
 		t.Fatal("no E2E measured")
 	}
 	if len(s.OffsetLoads) != 1 {
@@ -409,41 +371,25 @@ func TestPrepareInvokeFlow(t *testing.T) {
 }
 
 func TestPrepareBeforeRecordFails(t *testing.T) {
-	fn := tinyFn()
-	env := newEnv(fn)
-	s := New()
+	f := newFunc(tinyFn(), New())
 	var err error
-	env.Host.Eng.Go("vm", func(p *sim.Proc) {
-		vm, _ := env.Host.Restore(p, "vm0", fn, env.Image, env.SnapInode, s.RestoreConfig(0))
-		err = s.PrepareVM(p, env, vm)
-	})
-	env.Host.Eng.Run()
+	f.Env.Host.Eng.Go("vm", func(p *sim.Proc) { _, _, _, err = f.ColdStart(p, "vm0", 0, f.Env.InvokeTrace) })
+	f.Env.Host.Eng.Run()
 	if err == nil {
 		t.Fatal("PrepareVM before Record accepted")
 	}
 }
 
 func TestPVOnlyNeedsNoRecord(t *testing.T) {
-	fn := tinyFn()
-	env := newEnv(fn)
 	s := NewPVOnly()
+	f := newFunc(tinyFn(), s)
 	var err error
-	env.Host.Eng.Go("run", func(p *sim.Proc) {
-		if rerr := s.Record(p, env); rerr != nil {
-			err = rerr
-			return
-		}
-		vm, _ := env.Host.Restore(p, "vm0", fn, env.Image, env.SnapInode, s.RestoreConfig(0))
-		if perr := s.PrepareVM(p, env, vm); perr != nil {
-			err = perr
-			return
-		}
-		vm.MarkPrepared(p)
-		if _, ierr := vm.Invoke(p, env.InvokeTrace); ierr != nil {
-			err = ierr
+	f.Env.Host.Eng.Go("run", func(p *sim.Proc) {
+		if err = s.Record(p, f.Env); err == nil {
+			_, _, _, err = f.ColdStart(p, "vm0", 0, f.Env.InvokeTrace)
 		}
 	})
-	env.Host.Eng.Run()
+	f.Env.Host.Eng.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

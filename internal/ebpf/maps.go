@@ -3,6 +3,7 @@ package ebpf
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // MapType enumerates the supported eBPF map flavours.
@@ -39,10 +40,13 @@ type Map struct {
 	set  []bool // arr slot occupancy, so Iterate skips unwritten slots
 
 	// Stats for the overheads experiment: userspace updates model the
-	// bpf(2) syscall cost of loading offsets into the kernel.
+	// bpf(2) syscall cost of loading offsets into the kernel. Lookups
+	// is atomic because one loaded program may run on several
+	// goroutines at once, and lookups are its only map access that
+	// does not write entries.
 	UserUpdates int64
 	ProgUpdates int64
-	Lookups     int64
+	Lookups     atomic.Int64
 }
 
 // NewMap creates a map of the given type and capacity.
@@ -97,7 +101,7 @@ func (m *Map) Len() int {
 
 // Lookup returns the value for key and whether it is present.
 func (m *Map) Lookup(key uint64) (uint64, bool) {
-	m.Lookups++
+	m.Lookups.Add(1)
 	switch m.typ {
 	case MapTypeHash:
 		v, ok := m.hash[key]

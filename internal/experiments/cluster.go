@@ -119,7 +119,7 @@ func Cluster(o Options) (*Table, error) {
 		res, err := cluster.Run(cluster.Config{
 			Hosts:     p.Hosts,
 			HostNames: p.HostNames,
-			Scheme:    cluster.Scheme{Name: SchemeSnapBPF.Name, New: SchemeSnapBPF.New},
+			Scheme:    SchemeSnapBPF,
 			Router:    c.router,
 			Admission: p.Admission,
 			KeepAlive: cluster.KeepAlive{Budget: c.budget, IdleTimeout: p.IdleTimeout},
@@ -127,6 +127,7 @@ func Cluster(o Options) (*Table, error) {
 			Faults:    o.Faults,
 			Check:     o.Check,
 			Obs:       o.Obs,
+			Store:     o.Store,
 		})
 		if err != nil {
 			return fmt.Errorf("cluster %s/ka=%d: %w", c.router, c.budget, err)

@@ -30,7 +30,7 @@ func TestClusterSingleHostEquivalence(t *testing.T) {
 	}
 	region, err := cluster.Run(cluster.Config{
 		Hosts:    1,
-		Scheme:   cluster.Scheme{Name: SchemeSnapBPF.Name, New: SchemeSnapBPF.New},
+		Scheme:   SchemeSnapBPF,
 		Router:   cluster.RouterRoundRobin,
 		Arrivals: arrivals,
 		Check:    true,
@@ -186,7 +186,7 @@ func TestClusterAffinityBeatsRoundRobin(t *testing.T) {
 	run := func(r cluster.RouterKind) *cluster.Result {
 		res, err := cluster.Run(cluster.Config{
 			Hosts:    4,
-			Scheme:   cluster.Scheme{Name: SchemeSnapBPF.Name, New: SchemeSnapBPF.New},
+			Scheme:   SchemeSnapBPF,
 			Router:   r,
 			Arrivals: arrivals,
 			Check:    true,

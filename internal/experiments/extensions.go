@@ -116,7 +116,7 @@ func ExtCostAnalysis(o Options) (*Table, error) {
 	cells := make([]Cell, len(fns))
 	for idx, fn := range fns {
 		idx := idx
-		cells[idx] = Cell{Fn: fn, Scheme: Scheme{"SnapBPF", func() prefetch.Prefetcher {
+		cells[idx] = Cell{Fn: fn, Scheme: Scheme{Name: "SnapBPF", New: func() prefetch.Prefetcher {
 			s := core.New()
 			pfs[idx] = s
 			return s

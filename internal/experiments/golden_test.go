@@ -86,11 +86,21 @@ func TestGoldenFig4(t *testing.T) {
 // the json row alone already pins every scheme column byte for byte.
 func goldenJSONOnly(t *testing.T) []workload.Function {
 	t.Helper()
-	fn, err := workload.ByName("json")
-	if err != nil {
-		t.Fatal(err)
+	return goldenFns(t, "json")
+}
+
+// goldenFns resolves the named suite functions.
+func goldenFns(t *testing.T, names ...string) []workload.Function {
+	t.Helper()
+	var fns []workload.Function
+	for _, name := range names {
+		fn, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fns = append(fns, fn)
 	}
-	return []workload.Function{fn}
+	return fns
 }
 
 const goldenFig3bCSV = `Function,Linux-NoRA,Linux-RA,REAP,SnapBPF,REAP/SnapBPF
@@ -114,7 +124,12 @@ json/w=512,0.270,84.3,171
 // the schedule-independence half of the determinism contract.
 func goldenPin(t *testing.T, name string, run func(Options) (*Table, error), want string) {
 	t.Helper()
-	fns := goldenJSONOnly(t)
+	goldenPinFns(t, name, goldenJSONOnly(t), run, want)
+}
+
+// goldenPinFns is goldenPin over an explicit function set.
+func goldenPinFns(t *testing.T, name string, fns []workload.Function, run func(Options) (*Table, error), want string) {
+	t.Helper()
 	serial, err := run(Options{Functions: fns, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -164,4 +179,32 @@ func TestGoldenOverheads(t *testing.T) {
 	if got := tbl.CSV(); got != goldenOverheadsCSV {
 		t.Errorf("overheads CSV drifted:\n--- got ---\n%s--- want ---\n%s", got, goldenOverheadsCSV)
 	}
+}
+
+// The extension pins run json + pyaes: two small functions keep the
+// co-location run multi-tenant while the pins stay a few seconds.
+const goldenExtSteadyStateCSV = `Function,scheme,wave 1,wave 2,wave 3,device (MiB),peak mem (GiB)
+json,REAP,0.330,0.330,0.330,502.5,0.16
+json,SnapBPF,0.116,0.103,0.103,26.1,0.08
+pyaes,REAP,0.136,0.136,0.136,195.0,0.06
+pyaes,SnapBPF,0.078,0.067,0.067,9.1,0.03
+`
+
+const goldenExtColocationCSV = `Scheme,host memory (GiB),device (MiB),mean E2E across functions (s)
+REAP,0.09,93.0,0.153
+SnapBPF,0.07,35.2,0.098
+`
+
+func TestGoldenExtSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("byte-pinning is value-level; the non-race suite covers it")
+	}
+	goldenPinFns(t, "ext-steady-state", goldenFns(t, "json", "pyaes"), ExtSteadyState, goldenExtSteadyStateCSV)
+}
+
+func TestGoldenExtColocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("byte-pinning is value-level; the non-race suite covers it")
+	}
+	goldenPinFns(t, "ext-colocation", goldenFns(t, "json", "pyaes"), ExtColocation, goldenExtColocationCSV)
 }

@@ -25,28 +25,25 @@ import (
 	"snapbpf/internal/prefetch/reap"
 	"snapbpf/internal/sim"
 	"snapbpf/internal/store"
+	"snapbpf/internal/testbed"
 	"snapbpf/internal/trace"
 	"snapbpf/internal/units"
 	"snapbpf/internal/vmm"
 	"snapbpf/internal/workload"
 )
 
-// Scheme is a named prefetcher factory. A fresh Prefetcher is built
-// per (function, run) because prefetchers hold per-function artifacts.
-type Scheme struct {
-	Name string
-	New  func() prefetch.Prefetcher
-}
+// Scheme is a named prefetcher factory (see testbed.Scheme).
+type Scheme = testbed.Scheme
 
 // Standard schemes.
 var (
-	SchemeLinuxNoRA = Scheme{"Linux-NoRA", func() prefetch.Prefetcher { return prefetch.NewLinuxNoRA() }}
-	SchemeLinuxRA   = Scheme{"Linux-RA", func() prefetch.Prefetcher { return prefetch.NewLinuxRA() }}
-	SchemeREAP      = Scheme{"REAP", func() prefetch.Prefetcher { return reap.New() }}
-	SchemeFaast     = Scheme{"Faast", func() prefetch.Prefetcher { return faast.New() }}
-	SchemeFaaSnap   = Scheme{"FaaSnap", func() prefetch.Prefetcher { return faasnap.New() }}
-	SchemeSnapBPF   = Scheme{"SnapBPF", func() prefetch.Prefetcher { return core.New() }}
-	SchemePVOnly    = Scheme{"PVPTEs", func() prefetch.Prefetcher { return core.NewPVOnly() }}
+	SchemeLinuxNoRA = Scheme{Name: "Linux-NoRA", New: func() prefetch.Prefetcher { return prefetch.NewLinuxNoRA() }}
+	SchemeLinuxRA   = Scheme{Name: "Linux-RA", New: func() prefetch.Prefetcher { return prefetch.NewLinuxRA() }}
+	SchemeREAP      = Scheme{Name: "REAP", New: func() prefetch.Prefetcher { return reap.New() }}
+	SchemeFaast     = Scheme{Name: "Faast", New: func() prefetch.Prefetcher { return faast.New() }}
+	SchemeFaaSnap   = Scheme{Name: "FaaSnap", New: func() prefetch.Prefetcher { return faasnap.New() }}
+	SchemeSnapBPF   = Scheme{Name: "SnapBPF", New: func() prefetch.Prefetcher { return core.New() }}
+	SchemePVOnly    = Scheme{Name: "PVPTEs", New: func() prefetch.Prefetcher { return core.NewPVOnly() }}
 )
 
 // RunResult is the measurement of one (scheme, function, concurrency)
@@ -185,122 +182,27 @@ func Run(fn workload.Function, scheme Scheme, cfg Config) (*RunResult, error) {
 	if cfg.N == 0 {
 		cfg.N = 1
 	}
-	if cfg.Device.Name == "" {
-		cfg.Device = blockdev.MicronSATA5300()
-	}
-	var inj *faults.Injector
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {
 			return nil, fmt.Errorf("run %s/%s: %w", scheme.Name, fn.Name, err)
 		}
-		if cfg.Faults.Enabled() {
-			inj = faults.NewInjector(*cfg.Faults)
-		}
 	}
-	h := vmm.NewHost(cfg.Device)
-	h.Dev.SetFaults(inj)
-	// Arm the harness before any simulated event so the shadow state
-	// observes the run from the very first page-cache insert.
-	var chk *check.Checker
-	if cfg.Check {
-		chk = check.New(h, inj)
-	}
-	// The recorder attaches second so it wraps every layer the checker
-	// just claimed, forwarding each event downstream — both see the
-	// identical stream, and the KVM OnRestore chain ends at the
-	// recorder (which forwards to the checker).
-	var rec *obs.Recorder
-	if cfg.Obs.Enabled() {
-		var next obs.Chain
-		if chk != nil {
-			next = obs.Chain{Sim: chk, Dev: chk, Cache: chk, MM: chk, KVM: chk, Prefetch: chk, Store: chk}
-		}
-		rec = obs.Attach(h, *cfg.Obs, next)
-	}
-	pf := scheme.New()
-
-	zeroOnFree := pf.RestoreConfig(0).ZeroOnFree
-	img := vmm.BuildImage(fn, zeroOnFree)
-	snapInode := h.RegisterSnapshot(fn.Name+".snapmem", img)
-	if chk != nil {
-		chk.RegisterFileTags(snapInode, img.PageTags)
-	}
-	env := &prefetch.Env{
-		Host:        h,
-		Fn:          fn,
-		Image:       img,
-		SnapInode:   snapInode,
-		RecordTrace: fn.GenTrace(),
-		InvokeTrace: fn.GenTrace(),
-		Faults:      inj,
-	}
-	switch {
-	case rec != nil:
-		env.Check = rec // forwards to chk when armed
-	case chk != nil:
-		env.Check = chk
-	}
-
-	// --- Distribution tier ---
-	// With a non-local tier the snapshot's chunks live in the remote
-	// store: device reads of the snapshot inode are staged behind the
-	// host chunk cache, and SnapBPF's captured offsets feed the
-	// chunk-priority plan. TierLocal leaves everything untouched.
-	var bind *store.Binding
-	var hcStore *store.HostCache
-	var remote *store.Remote
-	if sc := cfg.Store; sc != nil && sc.Tier != store.TierLocal {
-		remote = store.NewRemote(sc.Params)
-		hcStore = store.NewHostCache(h.Eng, remote, inj)
-		switch {
-		case rec != nil:
-			hcStore.SetObserver(rec) // forwards to chk when armed
-		case chk != nil:
-			hcStore.SetObserver(chk)
-		}
-		if chk != nil {
-			chk.AttachStore(hcStore)
-		}
-		man := store.BuildManifest(fn.Name, img.PageTags, remote.Params().ChunkPages)
-		if sc.SabotageChunk > 0 && sc.SabotageChunk <= len(man.Chunks) {
-			// Test knob: forge one manifest hash (stale manifest / corrupt
-			// chunk); the checker must flag the fetch.
-			man.Chunks[sc.SabotageChunk-1].ID ^= 0xdeadbeef
-		}
-		if sc.PermuteChunks != 0 {
-			store.PermuteChunks(man, sc.PermuteChunks)
-		}
-		bind = hcStore.Bind(man, sc.Policy, img.PageTags)
-		snapInode.SetStager(bind)
-		env.ChunkPlan = bind.Plan
-	}
+	h := testbed.New(sim.NewEngine(), testbed.Config{
+		Device: cfg.Device, Faults: cfg.Faults, Check: cfg.Check, Obs: cfg.Obs,
+		Store: cfg.Store, CacheLimitPages: cfg.CacheLimitPages,
+	})
+	f := h.AddFunction(fn, scheme, fn.Name+".snapmem")
+	pf := f.PF
 
 	// --- Record phase ---
 	var recErr error
-	h.Eng.Go("record", func(p *sim.Proc) {
-		recErr = pf.Record(p, env)
-	})
+	h.Eng.Go("record", func(p *sim.Proc) { recErr = pf.Record(p, f.Env) })
 	h.Eng.Run()
 	if recErr != nil {
 		return nil, fmt.Errorf("record %s/%s: %w", scheme.Name, fn.Name, recErr)
 	}
-	h.Cache.DropCaches()
-	h.Dev.ResetStats()
-	h.Cache.SetMemLimit(cfg.CacheLimitPages)
-	if bind != nil {
-		switch cfg.Store.Tier {
-		case store.TierCold:
-			// Cold remote: the measured phase starts with an empty
-			// chunk cache, as a host that never ran this function.
-			hcStore.Drop()
-		case store.TierWarm:
-			// Warm cache: a previous instance pulled every chunk.
-			// Preload through the normal fetch path, drained before
-			// the first measured restore.
-			h.Eng.Go("store-preload", func(p *sim.Proc) { bind.Preload(p) })
-			h.Eng.Run()
-		}
-	}
+	h.EndRecord("store-preload")
+	h.Eng.Run()
 
 	// --- Invocation phase: N concurrent sandboxes ---
 	res := &RunResult{Scheme: pf.Name(), Function: fn.Name, N: cfg.N,
@@ -313,45 +215,20 @@ func Run(fn workload.Function, scheme Scheme, cfg Config) (*RunResult, error) {
 	// the dispatch order, and therefore "first", is deterministic.
 	var invErr error
 	invErrVM := -1
-	fail := func(i int, err error) {
-		if invErr == nil {
-			invErr, invErrVM = err, i
-		}
-	}
 	for i := 0; i < cfg.N; i++ {
 		i := i
 		h.Eng.Go(fmt.Sprintf("vm%d", i), func(p *sim.Proc) {
-			vm, err := h.Restore(p, fmt.Sprintf("%s-vm%d", fn.Name, i), fn, img, snapInode,
-				pf.RestoreConfig(cfg.AllocDrift*(1+i)))
+			vm, st, digest, err := f.ColdStart(p, fmt.Sprintf("%s-vm%d", fn.Name, i),
+				cfg.AllocDrift*(1+i), cfg.invokeTrace(f.Env, i))
 			if err != nil {
-				fail(i, err)
+				if invErr == nil {
+					invErr, invErrVM = err, i
+				}
 				return
 			}
-			vms[i] = vm
-			if bind != nil {
-				// Full-download policy blocks restores until the whole
-				// snapshot is local; other policies return at once. The
-				// wait lands in E2E, like the real registry pull.
-				bind.BeginRestore(p)
-			}
-			if err := pf.PrepareVM(p, env, vm); err != nil {
-				fail(i, err)
-				return
-			}
-			vm.MarkPrepared(p)
-			st, err := vm.Invoke(p, cfg.invokeTrace(env, i))
-			if err != nil {
-				fail(i, err)
-				return
-			}
+			vms[i], digests[i] = vm, digest
 			res.E2E[i] = st.E2E
 			prepSum += st.Prepare
-			pf.FinishVM(env, vm)
-			if chk != nil {
-				// Digest before Shutdown: the shadow page table is
-				// consumed with the address space.
-				digests[i] = chk.VMDone(vm)
-			}
 		})
 	}
 	h.Eng.Run()
@@ -362,33 +239,27 @@ func Run(fn workload.Function, scheme Scheme, cfg Config) (*RunResult, error) {
 	// Memory before teardown: everything sandboxes still hold.
 	res.SystemMemory = units.PagesToBytes(h.MM.SystemMemoryPages())
 	for _, vm := range vms {
-		if vm != nil {
-			vm.Shutdown()
-		}
+		vm.Shutdown()
 	}
-	if chk != nil {
-		if cfg.InputVariance == 0 {
-			// Identical inputs: every sandbox must converge to the same
-			// guest-visible memory, whatever the scheme did to get there.
-			for i := 1; i < cfg.N; i++ {
-				if digests[i] != digests[0] {
-					return nil, fmt.Errorf("check %s/%s: vm%d digest %016x != vm0 digest %016x",
-						scheme.Name, fn.Name, i, digests[i], digests[0])
-				}
+	if cfg.Check && cfg.InputVariance == 0 {
+		// Identical inputs: every sandbox must converge to the same
+		// guest-visible memory, whatever the scheme did to get there.
+		for i := 1; i < cfg.N; i++ {
+			if digests[i] != digests[0] {
+				return nil, fmt.Errorf("check %s/%s: vm%d digest %016x != vm0 digest %016x",
+					scheme.Name, fn.Name, i, digests[i], digests[0])
 			}
-			res.Digest = digests[0]
 		}
-		if err := chk.Finish(); err != nil {
-			return nil, fmt.Errorf("check %s/%s: %w", scheme.Name, fn.Name, err)
-		}
+		res.Digest = digests[0]
 	}
-
-	if rec != nil {
-		res.Obs = rec.Finish()
+	if err := h.Verify(); err != nil {
+		return nil, fmt.Errorf("check %s/%s: %w", scheme.Name, fn.Name, err)
 	}
-	if chk != nil {
-		cc := chk.Counts()
-		res.CheckCounts = &cc
+	rep := h.Report()
+	res.Obs, res.CheckCounts, res.Faults, res.Store = rep.Obs, rep.CheckCounts, rep.Faults, rep.Store
+	if h.Remote != nil {
+		rs := h.Remote.Stats()
+		res.StoreRemote = &rs
 	}
 
 	var sum time.Duration
@@ -403,13 +274,6 @@ func Run(fn workload.Function, scheme Scheme, cfg Config) (*RunResult, error) {
 	res.DeviceBytes = h.Dev.Stats().BytesRead
 	res.DeviceRequests = h.Dev.Stats().Requests
 	res.Evictions = h.Cache.Evictions()
-	res.Faults = inj.Report()
-	if hcStore != nil {
-		cs := hcStore.Stats()
-		res.Store = &cs
-		rs := remote.Stats()
-		res.StoreRemote = &rs
-	}
 
 	if s, ok := pf.(*core.SnapBPF); ok {
 		if len(s.OffsetLoads) > 0 {
@@ -447,37 +311,19 @@ func RunWaves(fn workload.Function, scheme Scheme, waves, perWave int, gap time.
 	if waves <= 0 || perWave <= 0 {
 		return nil, fmt.Errorf("waves and perWave must be positive")
 	}
-	if device.Name == "" {
-		device = blockdev.MicronSATA5300()
-	}
-	h := vmm.NewHost(device)
-	pf := scheme.New()
-	img := vmm.BuildImage(fn, pf.RestoreConfig(0).ZeroOnFree)
-	snapInode := h.RegisterSnapshot(fn.Name+".snapmem", img)
-	env := &prefetch.Env{
-		Host:        h,
-		Fn:          fn,
-		Image:       img,
-		SnapInode:   snapInode,
-		RecordTrace: fn.GenTrace(),
-		InvokeTrace: fn.GenTrace(),
-	}
+	h := testbed.New(sim.NewEngine(), testbed.Config{Device: device})
+	f := h.AddFunction(fn, scheme, fn.Name+".snapmem")
+	pf := f.PF
 	var recErr error
-	h.Eng.Go("record", func(p *sim.Proc) { recErr = pf.Record(p, env) })
+	h.Eng.Go("record", func(p *sim.Proc) { recErr = pf.Record(p, f.Env) })
 	h.Eng.Run()
 	if recErr != nil {
 		return nil, recErr
 	}
-	h.Cache.DropCaches()
-	h.Dev.ResetStats()
+	h.EndRecord("")
 
 	res := &WavesResult{Scheme: pf.Name()}
 	var invErr error
-	fail := func(w, i int, err error) {
-		if invErr == nil {
-			invErr = fmt.Errorf("wave %d vm%d: %w", w, i, err)
-		}
-	}
 	start := h.Eng.Now()
 	for w := 0; w < waves; w++ {
 		w := w
@@ -485,28 +331,18 @@ func RunWaves(fn workload.Function, scheme Scheme, waves, perWave int, gap time.
 		vms := make([]*vmm.MicroVM, perWave)
 		for i := 0; i < perWave; i++ {
 			i := i
-			h.Eng.GoAfter(start.Add(time.Duration(w)*gap).Sub(h.Eng.Now()),
-				fmt.Sprintf("w%d-vm%d", w, i), func(p *sim.Proc) {
-					vm, err := h.Restore(p, fmt.Sprintf("w%d-vm%d", w, i), fn, img, snapInode,
-						pf.RestoreConfig(0))
-					if err != nil {
-						fail(w, i, err)
-						return
+			name := fmt.Sprintf("w%d-vm%d", w, i)
+			h.Eng.GoAfter(start.Add(time.Duration(w)*gap).Sub(h.Eng.Now()), name, func(p *sim.Proc) {
+				vm, st, _, err := f.ColdStart(p, name, 0, f.Env.InvokeTrace)
+				if err != nil {
+					if invErr == nil {
+						invErr = fmt.Errorf("wave %d vm%d: %w", w, i, err)
 					}
-					vms[i] = vm
-					if err := pf.PrepareVM(p, env, vm); err != nil {
-						fail(w, i, err)
-						return
-					}
-					vm.MarkPrepared(p)
-					st, err := vm.Invoke(p, env.InvokeTrace)
-					if err != nil {
-						fail(w, i, err)
-						return
-					}
-					sum += st.E2E
-					pf.FinishVM(env, vm)
-				})
+					return
+				}
+				vms[i] = vm
+				sum += st.E2E
+			})
 		}
 		h.Eng.Run() // wave completes (plus its prefetch threads)
 		if invErr != nil {
@@ -516,9 +352,7 @@ func RunWaves(fn workload.Function, scheme Scheme, waves, perWave int, gap time.
 			res.PeakMemory = mem
 		}
 		for _, vm := range vms {
-			if vm != nil {
-				vm.Shutdown()
-			}
+			vm.Shutdown()
 		}
 		res.WaveE2E = append(res.WaveE2E, sum/time.Duration(perWave))
 	}
@@ -548,34 +382,17 @@ func RunMixed(fns []workload.Function, scheme Scheme, perFn int, device blockdev
 	if perFn <= 0 {
 		perFn = 1
 	}
-	if device.Name == "" {
-		device = blockdev.MicronSATA5300()
-	}
-	h := vmm.NewHost(device)
-
-	type fnCtx struct {
-		pf  prefetch.Prefetcher
-		env *prefetch.Env
-	}
-	ctxs := make([]fnCtx, len(fns))
+	h := testbed.New(sim.NewEngine(), testbed.Config{Device: device})
+	funcs := make([]*testbed.Func, len(fns))
 	for i, fn := range fns {
-		pf := scheme.New()
-		img := vmm.BuildImage(fn, pf.RestoreConfig(0).ZeroOnFree)
-		ctxs[i] = fnCtx{pf: pf, env: &prefetch.Env{
-			Host:        h,
-			Fn:          fn,
-			Image:       img,
-			SnapInode:   h.RegisterSnapshot(fn.Name+".snapmem", img),
-			RecordTrace: fn.GenTrace(),
-			InvokeTrace: fn.GenTrace(),
-		}}
+		funcs[i] = h.AddFunction(fn, scheme, fn.Name+".snapmem")
 	}
 
 	// Record phases run sequentially on the shared host.
 	var recErr error
 	h.Eng.Go("record", func(p *sim.Proc) {
-		for _, c := range ctxs {
-			if err := c.pf.Record(p, c.env); err != nil {
+		for _, f := range funcs {
+			if err := f.PF.Record(p, f.Env); err != nil {
 				recErr = err
 				return
 			}
@@ -585,42 +402,26 @@ func RunMixed(fns []workload.Function, scheme Scheme, perFn int, device blockdev
 	if recErr != nil {
 		return nil, fmt.Errorf("mixed record %s: %w", scheme.Name, recErr)
 	}
-	h.Cache.DropCaches()
-	h.Dev.ResetStats()
+	h.EndRecord("")
 
 	res := &MixedResult{Scheme: scheme.Name, PerFunction: make(map[string]time.Duration)}
 	sums := make([]time.Duration, len(fns))
-	var vms []*vmm.MicroVM
+	vms := make([]*vmm.MicroVM, len(fns)*perFn)
 	var invErr error
-	fail := func(fn string, k int, err error) {
-		if invErr == nil {
-			invErr = fmt.Errorf("%s-vm%d: %w", fn, k, err)
-		}
-	}
-	for i := range ctxs {
+	for i, f := range funcs {
 		for k := 0; k < perFn; k++ {
-			i, k := i, k
-			c := ctxs[i]
-			h.Eng.Go(fmt.Sprintf("%s-vm%d", c.env.Fn.Name, k), func(p *sim.Proc) {
-				vm, err := h.Restore(p, fmt.Sprintf("%s-vm%d", c.env.Fn.Name, k),
-					c.env.Fn, c.env.Image, c.env.SnapInode, c.pf.RestoreConfig(0))
+			i, k, f := i, k, f
+			name := fmt.Sprintf("%s-vm%d", f.Env.Fn.Name, k)
+			h.Eng.Go(name, func(p *sim.Proc) {
+				vm, st, _, err := f.ColdStart(p, name, 0, f.Env.InvokeTrace)
 				if err != nil {
-					fail(c.env.Fn.Name, k, err)
+					if invErr == nil {
+						invErr = fmt.Errorf("%s: %w", name, err)
+					}
 					return
 				}
-				vms = append(vms, vm)
-				if err := c.pf.PrepareVM(p, c.env, vm); err != nil {
-					fail(c.env.Fn.Name, k, err)
-					return
-				}
-				vm.MarkPrepared(p)
-				st, err := vm.Invoke(p, c.env.InvokeTrace)
-				if err != nil {
-					fail(c.env.Fn.Name, k, err)
-					return
-				}
+				vms[i*perFn+k] = vm
 				sums[i] += st.E2E
-				c.pf.FinishVM(c.env, vm)
 			})
 		}
 	}

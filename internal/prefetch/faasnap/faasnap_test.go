@@ -3,10 +3,9 @@ package faasnap
 import (
 	"testing"
 
-	"snapbpf/internal/blockdev"
 	"snapbpf/internal/prefetch"
 	"snapbpf/internal/sim"
-	"snapbpf/internal/vmm"
+	"snapbpf/internal/testbed"
 	"snapbpf/internal/workload"
 )
 
@@ -17,18 +16,12 @@ func tinyFn() workload.Function {
 	}
 }
 
-func newEnv(fn workload.Function) *prefetch.Env {
-	h := vmm.NewHost(blockdev.MicronSATA5300())
-	// FaaSnap snapshots come from a zero-on-free guest.
-	img := vmm.BuildImage(fn, true)
-	return &prefetch.Env{
-		Host:        h,
-		Fn:          fn,
-		Image:       img,
-		SnapInode:   h.RegisterSnapshot(fn.Name+".snapmem", img),
-		RecordTrace: fn.GenTrace(),
-		InvokeTrace: fn.GenTrace(),
-	}
+// newFunc registers tinyFn under f on a fresh testbed host; the
+// snapshot comes from a zero-on-free guest, as FaaSnap's restore
+// config asks.
+func newFunc(f *FaaSnap) *testbed.Func {
+	h := testbed.New(sim.NewEngine(), testbed.Config{})
+	return h.AddFunction(tinyFn(), testbed.Scheme{Name: f.Name(), New: func() prefetch.Prefetcher { return f }}, "tiny.snapmem")
 }
 
 func record(t *testing.T, f *FaaSnap, env *prefetch.Env) {
@@ -42,9 +35,8 @@ func record(t *testing.T, f *FaaSnap, env *prefetch.Env) {
 }
 
 func TestZeroScanFindsFreePool(t *testing.T) {
-	fn := tinyFn()
-	env := newEnv(fn)
 	f := New()
+	env := newFunc(f).Env
 	record(t, f, env)
 	if len(f.ZeroRegions()) == 0 {
 		t.Fatal("zero scan found nothing")
@@ -60,8 +52,8 @@ func TestZeroScanFindsFreePool(t *testing.T) {
 
 func TestMincoreCaptureExcludesAllocations(t *testing.T) {
 	fn := tinyFn()
-	env := newEnv(fn)
 	f := New()
+	env := newFunc(f).Env
 	record(t, f, env)
 	ws := f.WorkingSet()
 	if ws == nil || ws.WSPages == 0 {
@@ -81,16 +73,13 @@ func TestMincoreCaptureExcludesAllocations(t *testing.T) {
 }
 
 func TestCoalescingInflatesFile(t *testing.T) {
-	fn := tinyFn()
-	envA := newEnv(fn)
 	a := New()
 	a.CoalesceGap = 0
-	record(t, a, envA)
+	record(t, a, newFunc(a).Env)
 
-	envB := newEnv(fn)
 	b := New()
 	b.CoalesceGap = 256
-	record(t, b, envB)
+	record(t, b, newFunc(b).Env)
 
 	if len(b.WorkingSet().Regions) >= len(a.WorkingSet().Regions) {
 		t.Fatalf("larger gap did not reduce regions: %d vs %d",
@@ -103,9 +92,9 @@ func TestCoalescingInflatesFile(t *testing.T) {
 }
 
 func TestInvokeSharesWSAcrossSandboxes(t *testing.T) {
-	fn := tinyFn()
-	env := newEnv(fn)
 	f := New()
+	tf := newFunc(f)
+	env := tf.Env
 	record(t, f, env)
 	env.Host.Cache.DropCaches()
 	env.Host.Dev.ResetStats()
@@ -113,17 +102,8 @@ func TestInvokeSharesWSAcrossSandboxes(t *testing.T) {
 	var err error
 	for i := 0; i < 4; i++ {
 		env.Host.Eng.Go("vm", func(p *sim.Proc) {
-			vm, rerr := env.Host.Restore(p, "vm", fn, env.Image, env.SnapInode, f.RestoreConfig(0))
-			if rerr != nil {
-				err = rerr
-				return
-			}
-			if perr := f.PrepareVM(p, env, vm); perr != nil {
-				err = perr
-				return
-			}
-			if _, ierr := vm.Invoke(p, env.InvokeTrace); ierr != nil {
-				err = ierr
+			if _, _, _, cerr := tf.ColdStart(p, "vm", 0, env.InvokeTrace); cerr != nil {
+				err = cerr
 			}
 		})
 	}
@@ -152,15 +132,10 @@ func TestCapabilities(t *testing.T) {
 }
 
 func TestPrepareBeforeRecordFails(t *testing.T) {
-	fn := tinyFn()
-	env := newEnv(fn)
-	f := New()
+	tf := newFunc(New())
 	var err error
-	env.Host.Eng.Go("vm", func(p *sim.Proc) {
-		vm, _ := env.Host.Restore(p, "vm0", fn, env.Image, env.SnapInode, f.RestoreConfig(0))
-		err = f.PrepareVM(p, env, vm)
-	})
-	env.Host.Eng.Run()
+	tf.Env.Host.Eng.Go("vm", func(p *sim.Proc) { _, _, _, err = tf.ColdStart(p, "vm0", 0, tf.Env.InvokeTrace) })
+	tf.Env.Host.Eng.Run()
 	if err == nil {
 		t.Fatal("PrepareVM before Record accepted")
 	}

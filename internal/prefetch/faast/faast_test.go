@@ -3,10 +3,9 @@ package faast
 import (
 	"testing"
 
-	"snapbpf/internal/blockdev"
 	"snapbpf/internal/prefetch"
 	"snapbpf/internal/sim"
-	"snapbpf/internal/vmm"
+	"snapbpf/internal/testbed"
 	"snapbpf/internal/workload"
 )
 
@@ -17,17 +16,10 @@ func tinyFn() workload.Function {
 	}
 }
 
-func newEnv(fn workload.Function) *prefetch.Env {
-	h := vmm.NewHost(blockdev.MicronSATA5300())
-	img := vmm.BuildImage(fn, false)
-	return &prefetch.Env{
-		Host:        h,
-		Fn:          fn,
-		Image:       img,
-		SnapInode:   h.RegisterSnapshot(fn.Name+".snapmem", img),
-		RecordTrace: fn.GenTrace(),
-		InvokeTrace: fn.GenTrace(),
-	}
+// newFunc registers tinyFn under f on a fresh testbed host.
+func newFunc(f *Faast) *testbed.Func {
+	h := testbed.New(sim.NewEngine(), testbed.Config{})
+	return h.AddFunction(tinyFn(), testbed.Scheme{Name: f.Name(), New: func() prefetch.Prefetcher { return f }}, "tiny.snapmem")
 }
 
 func record(t *testing.T, f *Faast, env *prefetch.Env) {
@@ -42,9 +34,8 @@ func record(t *testing.T, f *Faast, env *prefetch.Env) {
 
 func TestMetadataFiltersAllocationsFromWS(t *testing.T) {
 	fn := tinyFn()
-	env := newEnv(fn)
 	f := New()
-	record(t, f, env)
+	record(t, f, newFunc(f).Env)
 	ws := f.WorkingSet()
 	if ws == nil || len(ws.Pages) == 0 {
 		t.Fatal("no working set")
@@ -59,27 +50,14 @@ func TestMetadataFiltersAllocationsFromWS(t *testing.T) {
 }
 
 func TestZeroPageFaultsAvoidDisk(t *testing.T) {
-	fn := tinyFn()
-	env := newEnv(fn)
 	f := New()
+	tf := newFunc(f)
+	env := tf.Env
 	record(t, f, env)
 	env.Host.Dev.ResetStats()
 
 	var err error
-	env.Host.Eng.Go("vm", func(p *sim.Proc) {
-		vm, rerr := env.Host.Restore(p, "vm0", fn, env.Image, env.SnapInode, f.RestoreConfig(0))
-		if rerr != nil {
-			err = rerr
-			return
-		}
-		if perr := f.PrepareVM(p, env, vm); perr != nil {
-			err = perr
-			return
-		}
-		if _, ierr := vm.Invoke(p, env.InvokeTrace); ierr != nil {
-			err = ierr
-		}
-	})
+	env.Host.Eng.Go("vm", func(p *sim.Proc) { _, _, _, err = tf.ColdStart(p, "vm0", 0, env.InvokeTrace) })
 	env.Host.Eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -103,15 +81,10 @@ func TestCapabilities(t *testing.T) {
 }
 
 func TestPrepareBeforeRecordFails(t *testing.T) {
-	fn := tinyFn()
-	env := newEnv(fn)
-	f := New()
+	tf := newFunc(New())
 	var err error
-	env.Host.Eng.Go("vm", func(p *sim.Proc) {
-		vm, _ := env.Host.Restore(p, "vm0", fn, env.Image, env.SnapInode, f.RestoreConfig(0))
-		err = f.PrepareVM(p, env, vm)
-	})
-	env.Host.Eng.Run()
+	tf.Env.Host.Eng.Go("vm", func(p *sim.Proc) { _, _, _, err = tf.ColdStart(p, "vm0", 0, tf.Env.InvokeTrace) })
+	tf.Env.Host.Eng.Run()
 	if err == nil {
 		t.Fatal("PrepareVM before Record accepted")
 	}

@@ -3,9 +3,9 @@ package reap
 import (
 	"testing"
 
-	"snapbpf/internal/blockdev"
 	"snapbpf/internal/prefetch"
 	"snapbpf/internal/sim"
+	"snapbpf/internal/testbed"
 	"snapbpf/internal/vmm"
 	"snapbpf/internal/workload"
 )
@@ -17,17 +17,10 @@ func tinyFn() workload.Function {
 	}
 }
 
-func newEnv(fn workload.Function) *prefetch.Env {
-	h := vmm.NewHost(blockdev.MicronSATA5300())
-	img := vmm.BuildImage(fn, false)
-	return &prefetch.Env{
-		Host:        h,
-		Fn:          fn,
-		Image:       img,
-		SnapInode:   h.RegisterSnapshot(fn.Name+".snapmem", img),
-		RecordTrace: fn.GenTrace(),
-		InvokeTrace: fn.GenTrace(),
-	}
+// newFunc registers tinyFn under r on a fresh testbed host.
+func newFunc(r *REAP) *testbed.Func {
+	h := testbed.New(sim.NewEngine(), testbed.Config{})
+	return h.AddFunction(tinyFn(), testbed.Scheme{Name: r.Name(), New: func() prefetch.Prefetcher { return r }}, "tiny.snapmem")
 }
 
 func record(t *testing.T, r *REAP, env *prefetch.Env) {
@@ -42,8 +35,8 @@ func record(t *testing.T, r *REAP, env *prefetch.Env) {
 
 func TestRecordCapturesFaultOrder(t *testing.T) {
 	fn := tinyFn()
-	env := newEnv(fn)
 	r := New()
+	env := newFunc(r).Env
 	record(t, r, env)
 	ws := r.WorkingSet()
 	if ws == nil || len(ws.Pages) == 0 {
@@ -73,26 +66,14 @@ func TestRecordCapturesFaultOrder(t *testing.T) {
 }
 
 func TestInvokeInstallsViaUffd(t *testing.T) {
-	fn := tinyFn()
-	env := newEnv(fn)
 	r := New()
+	f := newFunc(r)
+	env := f.Env
 	record(t, r, env)
 
 	var stats vmm.InvokeStats
 	var err error
-	env.Host.Eng.Go("vm", func(p *sim.Proc) {
-		vm, rerr := env.Host.Restore(p, "vm0", fn, env.Image, env.SnapInode, r.RestoreConfig(0))
-		if rerr != nil {
-			err = rerr
-			return
-		}
-		if perr := r.PrepareVM(p, env, vm); perr != nil {
-			err = perr
-			return
-		}
-		vm.MarkPrepared(p)
-		stats, err = vm.Invoke(p, env.InvokeTrace)
-	})
+	env.Host.Eng.Go("vm", func(p *sim.Proc) { _, stats, _, err = f.ColdStart(p, "vm0", 0, env.InvokeTrace) })
 	env.Host.Eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -108,9 +89,9 @@ func TestInvokeInstallsViaUffd(t *testing.T) {
 }
 
 func TestNoDedupAcrossSandboxes(t *testing.T) {
-	fn := tinyFn()
-	env := newEnv(fn)
 	r := New()
+	f := newFunc(r)
+	env := f.Env
 	record(t, r, env)
 
 	anon := make([]int64, 2)
@@ -118,20 +99,10 @@ func TestNoDedupAcrossSandboxes(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		env.Host.Eng.Go("vm", func(p *sim.Proc) {
-			vm, rerr := env.Host.Restore(p, "vm", fn, env.Image, env.SnapInode, r.RestoreConfig(0))
-			if rerr != nil {
-				err = rerr
-				return
+			vm, _, _, cerr := f.ColdStart(p, "vm", 0, env.InvokeTrace)
+			if err = cerr; err == nil {
+				anon[i] = vm.AS.AnonPages()
 			}
-			if perr := r.PrepareVM(p, env, vm); perr != nil {
-				err = perr
-				return
-			}
-			if _, ierr := vm.Invoke(p, env.InvokeTrace); ierr != nil {
-				err = ierr
-				return
-			}
-			anon[i] = vm.AS.AnonPages()
 		})
 	}
 	env.Host.Eng.Run()
@@ -148,15 +119,10 @@ func TestNoDedupAcrossSandboxes(t *testing.T) {
 }
 
 func TestPrepareBeforeRecordFails(t *testing.T) {
-	fn := tinyFn()
-	env := newEnv(fn)
-	r := New()
+	f := newFunc(New())
 	var err error
-	env.Host.Eng.Go("vm", func(p *sim.Proc) {
-		vm, _ := env.Host.Restore(p, "vm0", fn, env.Image, env.SnapInode, r.RestoreConfig(0))
-		err = r.PrepareVM(p, env, vm)
-	})
-	env.Host.Eng.Run()
+	f.Env.Host.Eng.Go("vm", func(p *sim.Proc) { _, _, _, err = f.ColdStart(p, "vm0", 0, f.Env.InvokeTrace) })
+	f.Env.Host.Eng.Run()
 	if err == nil {
 		t.Fatal("PrepareVM before Record accepted")
 	}
@@ -170,10 +136,9 @@ func TestCapabilities(t *testing.T) {
 }
 
 func TestBufferedModePopulatesCache(t *testing.T) {
-	fn := tinyFn()
-	env := newEnv(fn)
 	r := New()
 	r.DirectIO = false
+	env := newFunc(r).Env
 	record(t, r, env)
 	// Buffered record faults snapshot pages through the cache.
 	if env.Host.Cache.NrCachedPages() == 0 {

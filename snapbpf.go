@@ -35,7 +35,9 @@ import (
 	"snapbpf/internal/prefetch/faasnap"
 	"snapbpf/internal/prefetch/faast"
 	"snapbpf/internal/prefetch/reap"
+	"snapbpf/internal/sim"
 	"snapbpf/internal/snapshot"
+	"snapbpf/internal/testbed"
 	"snapbpf/internal/vmm"
 	"snapbpf/internal/workload"
 )
@@ -73,6 +75,11 @@ type (
 	// manager, kprobes, eBPF); advanced users compose their own
 	// scenarios against it as the examples do.
 	Host = vmm.Host
+
+	// Testbed is a Host with the harness's lifecycle: AddFunction
+	// registers a snapshot under a scheme, ColdStart runs one restore
+	// → prepare → invoke.
+	Testbed = testbed.Host
 
 	// MicroVM is one VM sandbox restored from a snapshot.
 	MicroVM = vmm.MicroVM
@@ -180,6 +187,12 @@ func NewLinuxNoRA() Prefetcher { return prefetch.NewLinuxNoRA() }
 // NewHost assembles a simulated machine around the given device;
 // MicronSATA5300 is the paper's testbed SSD.
 func NewHost(dev DeviceParams) *Host { return vmm.NewHost(dev) }
+
+// NewTestbed assembles a simulated machine around dev, with no fault
+// injection, checker or recorder armed.
+func NewTestbed(dev DeviceParams) *Testbed {
+	return testbed.New(sim.NewEngine(), testbed.Config{Device: dev})
+}
 
 // MicronSATA5300 returns the paper's SSD model.
 func MicronSATA5300() DeviceParams { return blockdev.MicronSATA5300() }
