@@ -63,9 +63,9 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
 
 # Machine-readable microbenchmark snapshot (ns/op, B/op, allocs/op for
-# the ebpf, obs and pagecache benchmarks, plus experiment wall-clock
-# from results/timing.json when that file exists), stamped with the
-# git state. See scripts/bench_json.sh.
+# the ebpf, obs, pagecache, guest and vmm benchmarks, plus experiment
+# wall-clock from results/timing.json when that file exists), stamped
+# with the git state. See scripts/bench_json.sh.
 bench-json:
 	./scripts/bench_json.sh results/bench.json
 

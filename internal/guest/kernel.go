@@ -153,19 +153,32 @@ func (k *Kernel) Free(handle int32) error {
 	return nil
 }
 
-// AllocPFNs returns the frames of a live allocation in order.
-func (k *Kernel) AllocPFNs(handle int32) ([]int64, bool) {
-	blocks, ok := k.allocs[handle]
-	if !ok {
-		return nil, false
+// AllocPFN returns the frame at page offset off of a live allocation.
+// It walks the allocation's buddy blocks, so a lookup costs O(blocks)
+// rather than O(pages). It reports false for an unknown handle or an
+// offset outside [0, size).
+func (k *Kernel) AllocPFN(handle int32, off int64) (int64, bool) {
+	if off < 0 {
+		return 0, false
 	}
-	var pfns []int64
-	for _, bl := range blocks {
+	for _, bl := range k.allocs[handle] {
+		n := int64(1) << bl.order
+		if off < n {
+			return bl.pfn + off, true
+		}
+		off -= n
+	}
+	return 0, false
+}
+
+// EachAllocPFN calls fn on every frame of a live allocation, in
+// allocation order. An unknown handle visits nothing.
+func (k *Kernel) EachAllocPFN(handle int32, fn func(pfn int64)) {
+	for _, bl := range k.allocs[handle] {
 		for i := int64(0); i < int64(1)<<bl.order; i++ {
-			pfns = append(pfns, bl.pfn+i)
+			fn(bl.pfn + i)
 		}
 	}
-	return pfns, true
 }
 
 // TouchPFN translates a guest access to frame pfn into the gPFN the

@@ -1,6 +1,10 @@
 package guest
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 func testCfg(pv bool) Config {
 	return Config{NrPages: 1024, StatePages: 256, PVMarking: pv}
@@ -113,22 +117,106 @@ func TestPVMarkingResetAcrossRealloc(t *testing.T) {
 	}
 }
 
-func TestAllocPFNsLookup(t *testing.T) {
-	k, _ := NewKernel(testCfg(false), 0)
-	pfns, _ := k.Alloc(3, 10)
-	got, ok := k.AllocPFNs(3)
-	if !ok || len(got) != 10 {
-		t.Fatalf("AllocPFNs = %v, %v", got, ok)
-	}
-	for i := range pfns {
-		if got[i] != pfns[i] {
-			t.Fatalf("pfn mismatch at %d", i)
+// TestAllocPFNMatchesAlloc is a differential property test: across
+// seeded Alloc/Free sequences under several allocator salts, the block
+// walk in AllocPFN and EachAllocPFN reproduces exactly the frame list
+// Alloc returned, and rejects every offset or handle outside a live
+// allocation.
+func TestAllocPFNMatchesAlloc(t *testing.T) {
+	for salt := 0; salt < 6; salt++ {
+		rng := rand.New(rand.NewSource(int64(salt) + 1))
+		k, err := NewKernel(Config{NrPages: 1 << 14, StatePages: 1 << 10}, salt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := make(map[int32][]int64)
+		var order []int32 // live handles, in allocation order
+		var freed []int32
+		next := int32(1)
+		for step := 0; step < 120; step++ {
+			if len(order) == 0 || rng.Intn(3) != 0 {
+				// Sizes span single pages, non-powers of two and
+				// allocations larger than one MaxOrder block.
+				var n int64
+				switch rng.Intn(3) {
+				case 0:
+					n = 1 + rng.Int63n(16)
+				case 1:
+					n = 1 + rng.Int63n(1<<MaxOrder)
+				default:
+					n = 1<<MaxOrder + 1 + rng.Int63n(3<<MaxOrder)
+				}
+				pfns, err := k.Alloc(next, n)
+				if err != nil {
+					continue // out of memory is fine
+				}
+				live[next] = pfns
+				order = append(order, next)
+				next++
+			} else {
+				i := rng.Intn(len(order))
+				h := order[i]
+				order = append(order[:i], order[i+1:]...)
+				delete(live, h)
+				if err := k.Free(h); err != nil {
+					t.Fatal(err)
+				}
+				freed = append(freed, h)
+			}
+			for _, h := range order {
+				pfns := live[h]
+				for i, want := range pfns {
+					if got, ok := k.AllocPFN(h, int64(i)); !ok || got != want {
+						t.Fatalf("salt %d handle %d: AllocPFN(%d) = %d, %v; want %d", salt, h, i, got, ok, want)
+					}
+				}
+				var walked []int64
+				k.EachAllocPFN(h, func(pfn int64) { walked = append(walked, pfn) })
+				if !slices.Equal(walked, pfns) {
+					t.Fatalf("salt %d handle %d: EachAllocPFN visited %d frames, want %d in Alloc order", salt, h, len(walked), len(pfns))
+				}
+				for _, off := range []int64{-1, int64(len(pfns)), int64(len(pfns)) + 1} {
+					if _, ok := k.AllocPFN(h, off); ok {
+						t.Fatalf("salt %d handle %d: AllocPFN(%d) accepted, size %d", salt, h, off, len(pfns))
+					}
+				}
+			}
+			for _, h := range append(freed, next, -1) {
+				if _, ok := k.AllocPFN(h, 0); ok {
+					t.Fatalf("salt %d: AllocPFN on dead handle %d accepted", salt, h)
+				}
+				k.EachAllocPFN(h, func(int64) { t.Fatalf("salt %d: EachAllocPFN visited dead handle %d", salt, h) })
+			}
 		}
 	}
-	if _, ok := k.AllocPFNs(99); ok {
-		t.Fatal("lookup of unknown handle succeeded")
-	}
 }
+
+// BenchmarkAllocPFN measures one OpTouch frame lookup in an allocation
+// of ~7k pages (a handful of MaxOrder blocks plus a tail of smaller
+// ones), cycling through every offset.
+func BenchmarkAllocPFN(b *testing.B) {
+	k, err := NewKernel(Config{NrPages: 1 << 14, StatePages: 1 << 10}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 7000
+	if _, err := k.Alloc(1, n); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum int64
+	for i := 0; i < b.N; i++ {
+		pfn, ok := k.AllocPFN(1, int64(i%n))
+		if !ok {
+			b.Fatal("lookup failed")
+		}
+		sum += pfn
+	}
+	sinkPFN = sum
+}
+
+var sinkPFN int64
 
 func TestNewKernelValidation(t *testing.T) {
 	if _, err := NewKernel(Config{NrPages: 0}, 0); err == nil {

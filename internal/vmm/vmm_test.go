@@ -1,11 +1,13 @@
 package vmm
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"snapbpf/internal/blockdev"
 	"snapbpf/internal/sim"
+	"snapbpf/internal/snapshot"
 	"snapbpf/internal/trace"
 	"snapbpf/internal/workload"
 )
@@ -210,4 +212,122 @@ func TestDeterministicE2E(t *testing.T) {
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic E2E: %v vs %v", a, b)
 	}
+}
+
+// touchFn has room in its guest free pool for the largest allocation
+// the touch tests make.
+func touchFn() workload.Function {
+	return workload.Function{Name: "touch", MemMiB: 32, StateMiB: 8, Seed: 7}
+}
+
+// touchTrace allocates n pages under one handle, writes each page once
+// in order, and frees the allocation: the guest-allocation path alone.
+func touchTrace(n int) *trace.Trace {
+	ops := make([]trace.Op, 0, n+2)
+	ops = append(ops, trace.Op{Kind: trace.OpAlloc, Handle: 1, NPages: int32(n)})
+	for i := 0; i < n; i++ {
+		ops = append(ops, trace.Op{Kind: trace.OpTouch, Handle: 1, Offset: int32(i), Write: true})
+	}
+	ops = append(ops, trace.Op{Kind: trace.OpFree, Handle: 1})
+	return &trace.Trace{Ops: ops}
+}
+
+// invokeOnce restores one SnapBPF-patched VM on a fresh host and
+// replays tr on it, returning Invoke's error.
+func invokeOnce(fn workload.Function, img *snapshot.MemoryImage, tr *trace.Trace) error {
+	h := NewHost(blockdev.MicronSATA5300())
+	ino := h.RegisterSnapshot("s", img)
+	var err error
+	h.Eng.Go("vm0", func(p *sim.Proc) {
+		var vm *MicroVM
+		if vm, err = h.Restore(p, "vm0", fn, img, ino, RestoreConfig{PVMarking: true}); err != nil {
+			return
+		}
+		vm.MapSnapshotDefault(p)
+		_, err = vm.Invoke(p, tr)
+	})
+	h.Eng.Run()
+	return err
+}
+
+// TestInvokeTouchScalesLinearly pins the guest allocation path to
+// linear cost: doubling the pages an allocation touches may at most
+// about double the heap bytes and the allocation count of an invoke.
+// Work is counted, not timed, so the gate is deterministic.
+func TestInvokeTouchScalesLinearly(t *testing.T) {
+	const n, maxRatio = 1024, 2.2
+	fn := touchFn()
+	img := BuildImage(fn, false)
+	measure := func(pages int) (allocs, bytes float64) {
+		tr := touchTrace(pages)
+		run := func() {
+			if err := invokeOnce(fn, img, tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(3, run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	allocsN, bytesN := measure(n)
+	allocs2N, bytes2N := measure(2 * n)
+	t.Logf("allocs %.0f -> %.0f, bytes %.0f -> %.0f", allocsN, allocs2N, bytesN, bytes2N)
+	if r := allocs2N / allocsN; r > maxRatio {
+		t.Errorf("allocations grew %.2fx from %d to %d touched pages (limit %.1fx)", r, n, 2*n, maxRatio)
+	}
+	if r := bytes2N / bytesN; r > maxRatio {
+		t.Errorf("bytes allocated grew %.2fx from %d to %d touched pages (limit %.1fx)", r, n, 2*n, maxRatio)
+	}
+}
+
+func TestInvokeBadTouch(t *testing.T) {
+	fn := touchFn()
+	img := BuildImage(fn, false)
+	for _, c := range []struct {
+		op   trace.Op
+		want string
+	}{
+		{trace.Op{Kind: trace.OpTouch, Handle: 9, Offset: 0}, "vmm: vm0: bad touch handle=9 off=0"},
+		{trace.Op{Kind: trace.OpTouch, Handle: 1, Offset: 4}, "vmm: vm0: bad touch handle=1 off=4"},
+		{trace.Op{Kind: trace.OpTouch, Handle: 1, Offset: 100}, "vmm: vm0: bad touch handle=1 off=100"},
+		{trace.Op{Kind: trace.OpTouch, Handle: 1, Offset: -1}, "vmm: vm0: bad touch handle=1 off=-1"},
+	} {
+		tr := &trace.Trace{Ops: []trace.Op{{Kind: trace.OpAlloc, Handle: 1, NPages: 4}, c.op}}
+		err := invokeOnce(fn, img, tr)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("touch %+v: err = %v, want %q", c.op, err, c.want)
+		}
+	}
+}
+
+// BenchmarkInvokeTouch measures one restore plus invoke of a 256-page
+// allocate/touch/free trace on a SnapBPF-patched VM, so the OpTouch
+// path (frame lookup, mirrored nested faults) dominates.
+func BenchmarkInvokeTouch(b *testing.B) {
+	fn := workload.Function{Name: "touch", MemMiB: 2, StateMiB: 1, Seed: 7}
+	img := BuildImage(fn, false)
+	tr := touchTrace(256)
+	h := NewHost(blockdev.MicronSATA5300())
+	ino := h.RegisterSnapshot("s", img)
+	b.ReportAllocs()
+	b.ResetTimer()
+	h.Eng.Go("bench", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			vm, err := h.Restore(p, "vm0", fn, img, ino, RestoreConfig{PVMarking: true})
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			vm.MapSnapshotDefault(p)
+			if _, err := vm.Invoke(p, tr); err != nil {
+				b.Error(err)
+				return
+			}
+			vm.Shutdown()
+		}
+	})
+	h.Eng.Run()
 }

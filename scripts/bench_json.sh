@@ -15,7 +15,7 @@ set -euo pipefail
 
 out="${1:-results/bench.json}"
 benchtime="${SNAPBPF_BENCHTIME:-20000x}"
-pkgs=(./internal/ebpf ./internal/obs ./internal/pagecache)
+pkgs=(./internal/ebpf ./internal/obs ./internal/pagecache ./internal/guest ./internal/vmm)
 
 git_state="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 if [ "$git_state" != unknown ] && ! git diff --quiet 2>/dev/null; then

@@ -28,6 +28,8 @@ declare -A floors=(
   [snapbpf/internal/store]=88.0
   [snapbpf/internal/snapshot]=87.0
   [snapbpf/internal/testbed]=94.5
+  [snapbpf/internal/guest]=94.5
+  [snapbpf/internal/vmm]=84.5
   [snapbpf/internal/analysis]=98.0
   [snapbpf/internal/analysis/passes/detnondet]=89.0
   [snapbpf/internal/analysis/passes/maporder]=95.0
