@@ -2,13 +2,24 @@
 // correctness harness (internal/check).
 //
 // Rule 1 (everywhere): a call through a value of any named `Observer`
-// interface type must be nil-guarded — observation is optional, a nil
-// observer is the fast path, and an unguarded hook is a latent panic
-// on every configuration that doesn't install the harness. The
-// recognized guard is an enclosing `if x != nil { ... x.Hook(...) }`
-// (possibly with further && conjuncts), matching the receiver
-// expression structurally. Code using other dominance patterns (early
-// return) must carry a //lint:allow observerorder directive.
+// interface type must be known non-nil — observation is optional, and
+// an unguarded hook is a latent panic on every configuration that
+// doesn't install the harness. Layers keep their subscribers in a
+// slice of Observers and fan each event out over it, so the guard
+// lives where a subscriber is inserted:
+//
+//   - a hook call is accepted when its receiver is the value variable
+//     of an enclosing `range` over a slice of an Observer type, or when
+//     it sits under an enclosing `if x != nil { ... x.Hook(...) }`
+//     (possibly with further && conjuncts), matching the receiver
+//     expression structurally;
+//   - every value `append`ed to a slice of an Observer type must sit
+//     under `if v != nil` for that value — a nil subscriber (or a typed
+//     nil, which converts to a non-nil interface) would otherwise reach
+//     every later hook.
+//
+// Code using other dominance patterns (early return) must carry a
+// //lint:allow observerorder directive.
 //
 // Rule 2 (package pagecache only): in any function that both invokes
 // the PageInserted observer hook and dispatches kprobes
@@ -37,7 +48,7 @@ const name = "observerorder"
 
 var Analyzer = &analysis.Analyzer{
 	Name:     name,
-	Doc:      "require nil-guarded observer hooks, and PageInserted before kprobe dispatch in pagecache",
+	Doc:      "require nil-guarded observer hooks and subscriptions, and PageInserted before kprobe dispatch in pagecache",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
@@ -54,6 +65,15 @@ func isObserver(t types.Type) bool {
 	}
 	_, isIface := n.Underlying().(*types.Interface)
 	return isIface
+}
+
+// isObserverSlice reports whether t is a slice of an Observer type.
+func isObserverSlice(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	sl, ok := t.Underlying().(*types.Slice)
+	return ok && isObserver(sl.Elem())
 }
 
 // fnEvent is a call of interest with its enclosing function node.
@@ -75,13 +95,25 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			return true
 		}
 		call := n.(*ast.CallExpr)
+		if isAppend(pass, call) && len(call.Args) > 1 && !call.Ellipsis.IsValid() &&
+			isObserverSlice(pass.TypesInfo.TypeOf(call.Args[0])) {
+			for _, v := range call.Args[1:] {
+				if !guarded(pass, stack, v) {
+					vs := lintutil.ExprString(pass.Fset, v)
+					tr.Reportf(v.Pos(),
+						"observer %s is appended to %s without a nil guard; wrap it in `if %s != nil { ... }`",
+						vs, lintutil.ExprString(pass.Fset, call.Args[0]), vs)
+				}
+			}
+			return true
+		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}
 		recvT := pass.TypesInfo.TypeOf(sel.X)
 		if isObserver(recvT) {
-			if !guarded(pass, stack, sel.X) {
+			if !rangeValue(pass, stack, sel.X) && !guarded(pass, stack, sel.X) {
 				tr.Reportf(call.Pos(),
 					"observer hook %s.%s is not nil-guarded; wrap it in `if %s != nil { ... }`",
 					lintutil.ExprString(pass.Fset, sel.X), sel.Sel.Name,
@@ -128,8 +160,41 @@ func enclosingFunc(stack []ast.Node) ast.Node {
 	return nil
 }
 
+// isAppend reports whether call invokes the append builtin.
+func isAppend(pass *analysis.Pass, call *ast.CallExpr) bool {
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
+	return ok && b.Name() == "append"
+}
+
+// rangeValue reports whether recv is the value variable of an
+// enclosing range over a slice of an Observer type: the subscriber
+// list was nil-guarded when each element was appended.
+func rangeValue(pass *analysis.Pass, stack []ast.Node, recv ast.Expr) bool {
+	id, ok := recv.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	obj := pass.TypesInfo.ObjectOf(id)
+	for i := len(stack) - 2; i >= 0; i-- {
+		rng, ok := stack[i].(*ast.RangeStmt)
+		if !ok || stack[i+1] != rng.Body {
+			continue
+		}
+		v, ok := rng.Value.(*ast.Ident)
+		if ok && obj != nil && pass.TypesInfo.ObjectOf(v) == obj {
+			return isObserverSlice(pass.TypesInfo.TypeOf(rng.X))
+		}
+	}
+	return false
+}
+
 // guarded reports whether the call at the top of stack sits inside the
-// then-branch of an if whose condition includes `recv != nil`.
+// then-branch of an if whose condition includes `x != nil`, where x is
+// structurally equal to recv.
 func guarded(pass *analysis.Pass, stack []ast.Node, recv ast.Expr) bool {
 	want := lintutil.ExprString(pass.Fset, recv)
 	for i := len(stack) - 2; i >= 0; i-- {

@@ -1,6 +1,8 @@
 package blockdev
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -415,5 +417,52 @@ func TestFaultedDeviceDeterministic(t *testing.T) {
 	}
 	if r1.Injected() == 0 {
 		t.Fatal("heavy plan injected nothing")
+	}
+}
+
+// ioLog records every device event with its subscriber's name into a
+// log shared by all subscribers.
+type ioLog struct {
+	name string
+	log  *[]string
+}
+
+func (l ioLog) add(format string, args ...any) {
+	*l.log = append(*l.log, l.name+" "+fmt.Sprintf(format, args...))
+}
+
+func (l ioLog) IOSubmitted(id, off, length int64, sync bool, attempt, parts int) {
+	l.add("submit %d parts=%d", id, parts)
+}
+
+func (l ioLog) RequestServiced(off, length int64, attempt, inFlight int, out faults.ReadOutcome) {
+	l.add("service %d", off)
+}
+
+func (l ioLog) RequestCompleted(inFlight int)     { l.add("complete inflight=%d", inFlight) }
+func (l ioLog) IOCompleted(id int64, failed bool) { l.add("done %d failed=%v", id, failed) }
+
+// TestObserverFanOut: every device event reaches each subscriber in
+// subscription order; a nil subscriber is dropped.
+func TestObserverFanOut(t *testing.T) {
+	eng := sim.NewEngine()
+	p := testParams()
+	p.MaxRequestBytes = 4096
+	d := New(eng, p)
+	var log []string
+	d.AddObserver(ioLog{"a", &log})
+	d.AddObserver(nil)
+	d.AddObserver(ioLog{"b", &log})
+	eng.Go("r", func(pr *sim.Proc) { d.Read(pr, 0, 2*4096) })
+	eng.Run()
+	var want []string
+	for _, ev := range []string{
+		"submit 1 parts=2", "service 0", "service 4096",
+		"complete inflight=1", "complete inflight=0", "done 1 failed=false",
+	} {
+		want = append(want, "a "+ev, "b "+ev)
+	}
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("event log %q, want %q", log, want)
 	}
 }

@@ -1,8 +1,9 @@
 // Package check is the correctness harness for the simulated
 // storage/restore stack: a single Checker implements the observer
 // interfaces of every layer (sim, blockdev, pagecache, hostmm, kvm,
-// prefetch) and evaluates invariants online as events arrive, instead
-// of sampling state after the fact.
+// prefetch, store), subscribes itself to each layer's observer list,
+// and evaluates invariants online as events arrive, instead of
+// sampling state after the fact.
 //
 // The harness maintains shadow state fed exclusively by events:
 //
@@ -132,10 +133,6 @@ type Checker struct {
 	// access tracks in-progress guest accesses per simulated task.
 	access map[*sim.Proc][]accessCtx
 
-	// vms lists every restored sandbox in creation order, including
-	// scheme-internal record VMs.
-	vms []*vmm.MicroVM
-
 	// prefetch-level counters.
 	recordsDone  int
 	preparesDone int
@@ -202,10 +199,11 @@ func (c *Checker) Counts() Counts {
 	return n
 }
 
-// New attaches a fresh checker to every layer of the host: the
-// engine, block device, page cache and memory manager immediately,
-// and each sandbox's KVM instance as it is restored (via
-// Host.OnRestore, chaining any existing hook). Call before the first
+// New subscribes a fresh checker to every layer of the host: the
+// engine, block device, page cache, memory manager, and the KVM of
+// each sandbox restored from now on. The caller subscribes it to the
+// scheme events (prefetch.Env.AddObserver) and, on a remote store
+// tier, to the chunk cache (see AttachStore). Call before the first
 // simulated event of the run.
 func New(h *vmm.Host, inj *faults.Injector) *Checker {
 	c := &Checker{
@@ -224,18 +222,11 @@ func New(h *vmm.Host, inj *faults.Injector) *Checker {
 		storeRefs:   make(map[uint64]int64),
 	}
 	c.lastNow = h.Eng.Now()
-	h.Eng.SetObserver(c)
-	h.Dev.SetObserver(c)
-	h.Cache.SetObserver(c)
-	h.MM.SetObserver(c)
-	prev := h.OnRestore
-	h.OnRestore = func(vm *vmm.MicroVM) {
-		if prev != nil {
-			prev(vm)
-		}
-		c.vms = append(c.vms, vm)
-		vm.KVM.SetObserver(c)
-	}
+	h.Eng.AddObserver(c)
+	h.Dev.AddObserver(c)
+	h.Cache.AddObserver(c)
+	h.MM.AddObserver(c)
+	h.AddKVMObserver(c)
 	return c
 }
 
@@ -798,8 +789,7 @@ func (c *Checker) Finish() error {
 		c.violatef("storage-quiesce", "run ended with %d requests in flight, %d parts outstanding",
 			c.inFlight, c.outstanding)
 	}
-	for p, st := range c.access {
-		_ = p
+	for _, st := range c.access {
 		if len(st) != 0 {
 			c.violatef("access-unbalanced", "run ended with %d guest accesses still open", len(st))
 		}

@@ -30,7 +30,7 @@ import (
 
 // AttachStore registers the host chunk cache whose statistics and
 // refcounts Finish reconciles against the event-fed mirror. The
-// checker must already be installed as the cache's observer.
+// checker must already be subscribed to the cache (AddObserver).
 func (c *Checker) AttachStore(hc *store.HostCache) { c.storeHC = hc }
 
 // StoreManifestRegistered implements store.Observer.

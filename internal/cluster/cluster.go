@@ -237,7 +237,6 @@ func Run(cfg Config) (*Result, error) {
 	// --- Build the region: N hosts on one engine ---
 	eng := sim.NewEngine()
 	hosts := make([]*host, cfg.Hosts)
-	tbs := make([]*testbed.Host, cfg.Hosts)
 	var remote *store.Remote
 	if cfg.Store != nil && cfg.Store.Tier != store.TierLocal {
 		// One remote per region: per-chunk duplicate accounting across
@@ -249,6 +248,9 @@ func Run(cfg Config) (*Result, error) {
 		if len(cfg.HostNames) > 0 {
 			name = cfg.HostNames[i]
 		}
+		// Each armed host subscribes its own harness to the shared
+		// engine, so per-host sim-event counters are region-global —
+		// documented in DESIGN.md §13.
 		tb := testbed.New(eng, testbed.Config{
 			Device: cfg.Device, Faults: hostPlan(&cfg, i), Check: cfg.Check, Obs: cfg.Obs,
 			Store: cfg.Store, Remote: remote, CacheLimitPages: cfg.CacheLimitPages,
@@ -258,11 +260,8 @@ func Run(cfg Config) (*Result, error) {
 			f := tb.AddFunction(fnByName[fname], cfg.Scheme, name+"/"+fname+".snapmem")
 			ho.fns[fname] = &hostFn{Func: f, warmExec: f.Env.InvokeTrace.Summarize().TotalCompute}
 		}
-		hosts[i], tbs[i] = ho, tb
+		hosts[i] = ho
 	}
-	// Per-host sim-event counters are region-global — documented in
-	// DESIGN.md §13.
-	testbed.ShareClock(eng, tbs)
 
 	// --- Record phase: sequential per (host index, sorted function) ---
 	var recErr error

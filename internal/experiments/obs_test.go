@@ -184,6 +184,50 @@ func TestObsMetamorphicRunInvariance(t *testing.T) {
 	}
 }
 
+// TestObsCheckerInvariance is the converse of
+// TestObsMetamorphicRunInvariance: with the recorder armed, switching
+// the checker off and on must leave the trace and metrics documents
+// byte-identical. Both consumers subscribe to each layer directly, so
+// the recorder sees the same event stream whether or not the checker
+// subscribes next to it.
+func TestObsCheckerInvariance(t *testing.T) {
+	fn := tinyFn()
+	plans := map[string]func() *faults.Plan{
+		"healthy": func() *faults.Plan { return nil },
+		"heavy":   func() *faults.Plan { p := faults.Heavy(3); return &p },
+	}
+	docs := func(t *testing.T, s Scheme, plan *faults.Plan, check bool) (traceDoc, metricsDoc []byte) {
+		t.Helper()
+		res, err := Run(fn, s, Config{N: 2, Check: check, Faults: plan, Obs: &obs.Config{Trace: true, Metrics: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (res.CheckCounts != nil) != check {
+			t.Fatalf("check=%v but checker tally %v", check, res.CheckCounts)
+		}
+		m, err := obs.BuildMetricsJSON([]obs.MetricsCell{{Name: "cell", Report: res.Obs}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return obs.BuildTrace([]obs.TraceCell{{Name: "cell", Report: res.Obs}}), m
+	}
+	for _, s := range []Scheme{SchemeSnapBPF, SchemeREAP} {
+		for label, plan := range plans {
+			s, label, plan := s, label, plan
+			t.Run(s.Name+"/"+label, func(t *testing.T) {
+				tr1, m1 := docs(t, s, plan(), false)
+				tr2, m2 := docs(t, s, plan(), true)
+				if !bytes.Equal(tr1, tr2) {
+					t.Errorf("trace differs with the checker armed (%d vs %d bytes)", len(tr1), len(tr2))
+				}
+				if !bytes.Equal(m1, m2) {
+					t.Errorf("metrics differ with the checker armed (%d vs %d bytes)", len(m1), len(m2))
+				}
+			})
+		}
+	}
+}
+
 // TestObsExperimentInvariance repeats the metamorphic check at
 // experiment granularity: a whole figure's rendered table is
 // byte-identical with and without observability armed.

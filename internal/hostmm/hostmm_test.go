@@ -1,6 +1,7 @@
 package hostmm
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -369,5 +370,63 @@ func TestSegfaultPanics(t *testing.T) {
 	w.eng.Run()
 	if !panicked {
 		t.Fatal("fault with no VMA did not panic")
+	}
+}
+
+// mmLog records every address-space event kind with its subscriber's
+// name into a log shared by all subscribers.
+type mmLog struct {
+	name string
+	log  *[]string
+}
+
+func (l mmLog) add(ev string) { *l.log = append(*l.log, l.name+" "+ev) }
+
+func (l mmLog) SpaceCreated(as *AddressSpace)  { l.add("created") }
+func (l mmLog) SpaceReleased(as *AddressSpace) { l.add("released") }
+func (l mmLog) FilePageMapped(as *AddressSpace, page int64, ino *pagecache.Inode, fileIdx int64) {
+	l.add("mapped")
+}
+func (l mmLog) FilePageUnmapped(as *AddressSpace, page int64, ino *pagecache.Inode, fileIdx int64) {
+	l.add("unmapped")
+}
+func (l mmLog) AnonInstalled(as *AddressSpace, page int64, content uint64, known bool) {
+	l.add("anon-installed")
+}
+func (l mmLog) AnonDropped(as *AddressSpace, page int64) { l.add("anon-dropped") }
+func (l mmLog) FaultResolved(p *sim.Proc, as *AddressSpace, page int64, write bool, kind FaultKind) {
+	l.add("fault " + kind.String())
+}
+
+// TestObserverFanOut: every address-space event reaches each
+// subscriber in subscription order; a nil subscriber is dropped.
+func TestObserverFanOut(t *testing.T) {
+	w := newWorld()
+	var log []string
+	w.mm.AddObserver(mmLog{"a", &log})
+	w.mm.AddObserver(nil)
+	w.mm.AddObserver(mmLog{"b", &log})
+	ino := w.cache.NewInode("snap", 64)
+	as := w.mm.NewAddressSpace("vm0", 64)
+	w.eng.Go("f", func(p *sim.Proc) {
+		as.MMapFile(p, 0, 64, ino, 0)
+		as.HandleFault(p, 1, false) // file page mapped
+		as.HandleFault(p, 1, true)  // CoW break
+		as.InstallAnonZeroPage(p, 2)
+	})
+	w.eng.Run()
+	as.Release()
+	var evs []string
+	for i := 0; i+1 < len(log); i += 2 {
+		a, b := log[i], log[i+1]
+		if a[:2] != "a " || b[:2] != "b " || a[2:] != b[2:] {
+			t.Fatalf("events %d-%d: %q, %q: want one event, a then b", i, i+1, a, b)
+		}
+		evs = append(evs, a[2:])
+	}
+	want := []string{"created", "mapped", "fault file", "unmapped", "fault cow", "anon-installed",
+		"anon-dropped", "anon-dropped", "released"}
+	if len(log)%2 != 0 || !reflect.DeepEqual(evs, want) {
+		t.Errorf("event log %q, want each of %q for a then b", log, want)
 	}
 }

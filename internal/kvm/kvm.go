@@ -51,15 +51,17 @@ type VM struct {
 	cm    costmodel.Model
 	ept   []eptPerm
 	dirty []bool // guest frames written since VM creation
-	obs   Observer
+	obs   []Observer
 	stats Stats
 }
 
 // Observer receives guest-access events for the correctness harness
-// (internal/check). Observers must not mutate VM state; a nil observer
-// costs one branch per access. AccessBegin/AccessEnd bracket the
-// access so host-level events (CoW breaks, uffd copies) occurring
-// in between can be attributed to the guest access that caused them.
+// (internal/check) and the recorder (internal/obs). Observers must not
+// mutate VM state; with no subscriber an access costs an empty loop.
+// The host hands its KVM subscribers to every sandbox it restores
+// (vmm.Host.AddKVMObserver). AccessBegin/AccessEnd bracket the access
+// so host-level events (CoW breaks, uffd copies) occurring in between
+// can be attributed to the guest access that caused them.
 type Observer interface {
 	AccessBegin(p *sim.Proc, v *VM, pfn int64, write bool)
 	// AccessEnd fires once the access has a valid translation; mirror
@@ -68,8 +70,13 @@ type Observer interface {
 	AccessEnd(p *sim.Proc, v *VM, pfn int64, write, mirror bool)
 }
 
-// SetObserver installs obs (nil disables observation).
-func (v *VM) SetObserver(obs Observer) { v.obs = obs }
+// AddObserver subscribes o to guest-access events after every earlier
+// subscriber; a nil o is dropped.
+func (v *VM) AddObserver(o Observer) {
+	if o != nil {
+		v.obs = append(v.obs, o)
+	}
+}
 
 // New creates the nested-paging state for a VM whose guest memory is
 // backed by as at host pages [hostBase, hostBase+g.Config().NrPages).
@@ -107,14 +114,14 @@ func (v *VM) Access(p *sim.Proc, pfn int64, write bool) {
 	if write {
 		v.dirty[pfn] = true
 	}
-	if v.obs != nil {
-		v.obs.AccessBegin(p, v, pfn, write)
+	for _, o := range v.obs {
+		o.AccessBegin(p, v, pfn, write)
 	}
 	gpfn := v.Guest.TouchPFN(pfn)
 	if guest.IsMirror(gpfn) {
 		v.handleMirrorFault(p, gpfn)
-		if v.obs != nil {
-			v.obs.AccessEnd(p, v, pfn, write, true)
+		for _, o := range v.obs {
+			o.AccessEnd(p, v, pfn, write, true)
 		}
 		return
 	}
@@ -135,8 +142,8 @@ func (v *VM) Access(p *sim.Proc, pfn int64, write bool) {
 }
 
 func (v *VM) accessEnd(p *sim.Proc, pfn int64, write bool) {
-	if v.obs != nil {
-		v.obs.AccessEnd(p, v, pfn, write, false)
+	for _, o := range v.obs {
+		o.AccessEnd(p, v, pfn, write, false)
 	}
 }
 

@@ -48,7 +48,7 @@ type Engine struct {
 	batch  []*event // reusable buffer for same-timestamp dispatch
 	seq    uint64
 	nprocs int // live (not yet finished) processes
-	obs    Observer
+	obs    []Observer
 
 	// running is closed-loop control for process handoff: the engine
 	// resumes a process by sending on its resume channel and waits on
@@ -57,9 +57,9 @@ type Engine struct {
 }
 
 // Observer receives engine scheduling events. It exists for the
-// correctness harness (internal/check): a nil observer costs one
-// branch per schedule/dispatch, and observers must not mutate
-// simulation state.
+// correctness harness (internal/check) and the recorder (internal/obs):
+// with no subscriber a hook costs one empty loop per schedule/dispatch,
+// and observers must not mutate simulation state.
 type Observer interface {
 	// EventScheduled fires for every Schedule/ScheduleAt call with the
 	// clamped target time (always >= Now at call time).
@@ -69,8 +69,13 @@ type Observer interface {
 	ClockAdvanced(now Time)
 }
 
-// SetObserver installs obs (nil disables observation).
-func (e *Engine) SetObserver(obs Observer) { e.obs = obs }
+// AddObserver subscribes o to engine events after every earlier
+// subscriber; a nil o is dropped.
+func (e *Engine) AddObserver(o Observer) {
+	if o != nil {
+		e.obs = append(e.obs, o)
+	}
+}
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
@@ -168,8 +173,8 @@ func (e *Engine) Schedule(delay Duration, fn func()) {
 	e.seq++
 	ev := e.alloc()
 	ev.at, ev.seq, ev.fn = e.now.Add(delay), e.seq, fn
-	if e.obs != nil {
-		e.obs.EventScheduled(ev.at)
+	for _, o := range e.obs {
+		o.EventScheduled(ev.at)
 	}
 	e.push(ev)
 }
@@ -182,8 +187,8 @@ func (e *Engine) ScheduleAt(at Time, fn func()) {
 	e.seq++
 	ev := e.alloc()
 	ev.at, ev.seq, ev.fn = at, e.seq, fn
-	if e.obs != nil {
-		e.obs.EventScheduled(ev.at)
+	for _, o := range e.obs {
+		o.EventScheduled(ev.at)
 	}
 	e.push(ev)
 }
@@ -196,8 +201,8 @@ func (e *Engine) ScheduleAt(at Time, fn func()) {
 func (e *Engine) dispatchBatch() {
 	ev := e.pop()
 	e.now = ev.at
-	if e.obs != nil {
-		e.obs.ClockAdvanced(e.now)
+	for _, o := range e.obs {
+		o.ClockAdvanced(e.now)
 	}
 	if len(e.queue) == 0 || e.queue[0].at != ev.at {
 		// Fast path: a lone event at this instant.

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -160,5 +163,50 @@ func TestEventReuseAcrossRuns(t *testing.T) {
 	}
 	if fired != 50*40 {
 		t.Fatalf("fired = %d, want %d", fired, 50*40)
+	}
+}
+
+// logObserver appends one line per engine event to a log shared by
+// every subscriber, so the log records delivery order across them.
+type logObserver struct {
+	name string
+	log  *[]string
+}
+
+func (o logObserver) EventScheduled(at Time) {
+	*o.log = append(*o.log, fmt.Sprintf("%s scheduled %d", o.name, at))
+}
+
+func (o logObserver) ClockAdvanced(now Time) {
+	*o.log = append(*o.log, fmt.Sprintf("%s advanced %d", o.name, now))
+}
+
+// TestObserverFanOut: every subscriber receives every EventScheduled
+// and ClockAdvanced, in subscription order, and a nil subscriber is
+// dropped.
+func TestObserverFanOut(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	e.AddObserver(logObserver{"a", &log})
+	e.AddObserver(nil)
+	e.AddObserver(logObserver{"b", &log})
+	if len(e.obs) != 2 {
+		t.Fatalf("%d subscribers, want 2 (nil must be dropped)", len(e.obs))
+	}
+	e.Schedule(10, func() {})
+	e.ScheduleAt(10, func() {})
+	e.Go("p", func(p *Proc) { p.Sleep(5) })
+	e.Run()
+	want := []string{
+		"a scheduled 10", "b scheduled 10",
+		"a scheduled 10", "b scheduled 10",
+		"a scheduled 0", "b scheduled 0", // Go starts the proc now
+		"a advanced 0", "b advanced 0",
+		"a scheduled 5", "b scheduled 5", // the proc's Sleep
+		"a advanced 5", "b advanced 5",
+		"a advanced 10", "b advanced 10", // one advance for the batch
+	}
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("delivery log:\n%s\nwant:\n%s", strings.Join(log, "\n"), strings.Join(want, "\n"))
 	}
 }

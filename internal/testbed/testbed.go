@@ -2,8 +2,10 @@
 // driven through the paper's cold-start lifecycle (§4, after REAP):
 // record once, drop caches, then restore → prepare → invoke. The
 // single-host harness and the region simulator are thin callers, so
-// the harness wiring — which observer sees which layer, in which
-// order (DESIGN.md §16) — is decided here and nowhere else.
+// the harness wiring — which consumer subscribes to which layer, in
+// which order (DESIGN.md §16) — is decided here and nowhere else.
+// Hosts built on one shared engine each subscribe their own consumers
+// to it, so every armed host sees every engine event.
 package testbed
 
 import (
@@ -50,13 +52,6 @@ type Config struct {
 	CacheLimitPages int64
 }
 
-// observer is the layer set a harness chain head implements.
-type observer interface {
-	sim.Observer
-	prefetch.Observer
-	store.Observer
-}
-
 // Host is one simulated machine with its harness attached.
 type Host struct {
 	*vmm.Host
@@ -65,14 +60,14 @@ type Host struct {
 	chk    *check.Checker   // nil unless Config.Check
 	rec    *obs.Recorder    // nil unless Config.Obs is enabled
 	chunks *store.HostCache // nil when snapshots are on local SSD
-	head   observer         // nil when neither harness is armed
 	cfg    Config
 	fns    []*Func
 }
 
 // New assembles a host on eng and arms its harness before any
 // simulated event, so the shadow state observes the run from the very
-// first page-cache insert.
+// first page-cache insert. The recorder subscribes to every layer
+// before the checker, so each event reaches the recorder first.
 func New(eng *sim.Engine, cfg Config) *Host {
 	if cfg.Device.Name == "" {
 		cfg.Device = blockdev.MicronSATA5300()
@@ -82,17 +77,11 @@ func New(eng *sim.Engine, cfg Config) *Host {
 		h.inj = faults.NewInjector(*cfg.Faults)
 	}
 	h.Dev.SetFaults(h.inj)
+	if cfg.Obs.Enabled() {
+		h.rec = obs.Attach(h.Host, *cfg.Obs)
+	}
 	if cfg.Check {
 		h.chk = check.New(h.Host, h.inj)
-		h.head = h.chk
-	}
-	if cfg.Obs.Enabled() {
-		var next obs.Chain
-		if c := h.chk; c != nil {
-			next = obs.Chain{Sim: c, Dev: c, Cache: c, MM: c, KVM: c, Prefetch: c, Store: c}
-		}
-		h.rec = obs.Attach(h.Host, *cfg.Obs, next)
-		h.head = h.rec
 	}
 	if sc := cfg.Store; sc != nil && sc.Tier != store.TierLocal {
 		h.Remote = cfg.Remote
@@ -100,8 +89,13 @@ func New(eng *sim.Engine, cfg Config) *Host {
 			h.Remote = store.NewRemote(sc.Params)
 		}
 		h.chunks = store.NewHostCache(eng, h.Remote, h.inj)
-		h.chunks.SetObserver(h.head)
+		// Typed nils would be non-nil Observers: subscribe only what
+		// is armed.
+		if h.rec != nil {
+			h.chunks.AddObserver(h.rec)
+		}
 		if h.chk != nil {
+			h.chunks.AddObserver(h.chk)
 			h.chk.AttachStore(h.chunks)
 		}
 	}
@@ -136,7 +130,12 @@ func (h *Host) AddFunction(fn workload.Function, scheme Scheme, snapName string)
 		RecordTrace: fn.GenTrace(),
 		InvokeTrace: fn.GenTrace(),
 		Faults:      h.inj,
-		Check:       h.head, // a nil head converts to a nil Observer
+	}
+	if h.rec != nil {
+		env.AddObserver(h.rec)
+	}
+	if h.chk != nil {
+		env.AddObserver(h.chk)
 	}
 	f := &Func{PF: pf, Env: env, h: h}
 	if h.chunks != nil {
@@ -249,39 +248,4 @@ func (h *Host) Verify() error {
 		return nil
 	}
 	return h.chk.Finish()
-}
-
-// ShareClock routes engine events to every armed host of a region
-// sharing eng. The engine has a single observer slot (the last armed
-// host took it), but each host's checker watches clock monotonicity
-// independently, so events fan out to every chain head in host order.
-func ShareClock(eng *sim.Engine, hosts []*Host) {
-	var heads multiSimObserver
-	for _, h := range hosts {
-		if h.head != nil {
-			heads = append(heads, h.head)
-		}
-	}
-	if len(heads) > 1 {
-		eng.SetObserver(heads)
-	}
-}
-
-// multiSimObserver fans engine events out to several observer chains.
-type multiSimObserver []sim.Observer
-
-func (m multiSimObserver) EventScheduled(at sim.Time) {
-	for _, o := range m {
-		if o != nil {
-			o.EventScheduled(at)
-		}
-	}
-}
-
-func (m multiSimObserver) ClockAdvanced(now sim.Time) {
-	for _, o := range m {
-		if o != nil {
-			o.ClockAdvanced(now)
-		}
-	}
 }

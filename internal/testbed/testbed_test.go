@@ -68,9 +68,9 @@ func coldStarts(t *testing.T, hosts []*Host, n int) ([]vmm.InvokeStats, []uint64
 
 func TestColdStartArmed(t *testing.T) {
 	h := New(sim.NewEngine(), Config{Check: true, Obs: &obs.Config{Metrics: true}})
-	f := h.AddFunction(tiny, snapBPF, "tiny.snapmem")
-	if h.chk == nil || h.rec == nil || h.chunks != nil || f.Env.Check != h.rec {
-		t.Fatal("armed host: scheme events must reach the recorder, the head of the chain")
+	h.AddFunction(tiny, snapBPF, "tiny.snapmem")
+	if h.chk == nil || h.rec == nil || h.chunks != nil {
+		t.Fatal("armed host: want a checker and a recorder on local SSD")
 	}
 	stats, digests := coldStarts(t, []*Host{h}, 2)
 	if digests[0] == 0 || digests[0] != digests[1] || stats[0].Prepare <= 0 {
@@ -79,16 +79,20 @@ func TestColdStartArmed(t *testing.T) {
 	if err := h.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	// The recorder forwards to the checker, so both saw both prepares.
-	if rep := h.Report(); rep.Obs == nil || rep.Store != nil || rep.CheckCounts.Prepares != 2 {
+	// The scheme's Env reaches both subscribers: both saw both prepares.
+	rep := h.Report()
+	if rep.Obs == nil || rep.Store != nil || rep.CheckCounts.Prepares != 2 {
 		t.Fatalf("report = %+v", rep)
+	}
+	if n, _ := rep.Obs.Metrics().Counter("snapbpf_scheme_prepares_total"); n != 2 {
+		t.Errorf("recorder saw %d scheme prepares, want 2", n)
 	}
 }
 
 func TestColdStartUnarmed(t *testing.T) {
 	h := New(sim.NewEngine(), Config{Device: blockdev.MicronSATA5300(), Faults: &faults.Plan{}})
 	f := h.AddFunction(tiny, linuxRA, "tiny.snapmem")
-	if h.inj != nil || h.chk != nil || h.rec != nil || f.Env.Check != nil {
+	if h.inj != nil || h.chk != nil || h.rec != nil {
 		t.Fatal("a disabled plan and no harness must arm nothing")
 	}
 	if _, digests := coldStarts(t, []*Host{h}, 1); digests[0] != 0 {
@@ -132,24 +136,23 @@ func TestStoreTiers(t *testing.T) {
 	}
 }
 
-// TestShareClock: every armed host on a shared engine sees the
-// region-wide engine event stream, and a shared remote serves every
-// host's cache.
-func TestShareClock(t *testing.T) {
+// TestSharedEngine: every armed host on a shared engine subscribes to
+// it directly and sees the region-wide engine event stream, and a
+// shared remote serves every host's cache.
+func TestSharedEngine(t *testing.T) {
 	eng := sim.NewEngine()
 	setup := &store.Setup{Tier: store.TierCold}
 	remote := store.NewRemote(setup.Params)
 	var hosts []*Host
 	for i := 0; i < 3; i++ {
 		cfg := Config{Store: setup, Remote: remote}
-		if i > 0 { // host0 stays unarmed: ShareClock must skip it
+		if i > 0 { // host0 stays unarmed: it must subscribe nothing
 			cfg.Check, cfg.Obs = true, &obs.Config{Metrics: true}
 		}
 		h := New(eng, cfg)
 		h.AddFunction(tiny, snapBPF, "tiny.snapmem")
 		hosts = append(hosts, h)
 	}
-	ShareClock(eng, hosts)
 	coldStarts(t, hosts, 1)
 	var scheduled []int64
 	for _, h := range hosts[1:] {

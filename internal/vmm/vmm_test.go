@@ -1,11 +1,13 @@
 package vmm
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"snapbpf/internal/blockdev"
+	"snapbpf/internal/kvm"
 	"snapbpf/internal/sim"
 	"snapbpf/internal/snapshot"
 	"snapbpf/internal/trace"
@@ -330,4 +332,101 @@ func BenchmarkInvokeTouch(b *testing.B) {
 		}
 	})
 	h.Eng.Run()
+}
+
+// lifecycleLog records every lifecycle event with its subscriber's
+// name into a log shared by all subscribers.
+type lifecycleLog struct {
+	name string
+	log  *[]string
+}
+
+func (l lifecycleLog) add(ev string) { *l.log = append(*l.log, l.name+" "+ev) }
+
+func (l lifecycleLog) RestoreBegin(p *sim.Proc, name string) { l.add("restore-begin " + name) }
+func (l lifecycleLog) RestoreEnd(p *sim.Proc, vm *MicroVM)   { l.add("restore-end " + vm.Name) }
+func (l lifecycleLog) VMPrepared(p *sim.Proc, vm *MicroVM, _ time.Duration) {
+	l.add("prepared " + vm.Name)
+}
+func (l lifecycleLog) InvokeBegin(p *sim.Proc, vm *MicroVM) { l.add("invoke-begin " + vm.Name) }
+func (l lifecycleLog) InvokeEnd(p *sim.Proc, vm *MicroVM, _ InvokeStats) {
+	l.add("invoke-end " + vm.Name)
+}
+
+// accessTally counts guest-access brackets per sandbox.
+type accessTally map[*kvm.VM][2]int
+
+func (a accessTally) AccessBegin(p *sim.Proc, v *kvm.VM, pfn int64, write bool) {
+	n := a[v]
+	n[0]++
+	a[v] = n
+}
+
+func (a accessTally) AccessEnd(p *sim.Proc, v *kvm.VM, pfn int64, write, mirror bool) {
+	n := a[v]
+	n[1]++
+	a[v] = n
+}
+
+// TestHostFansOutToSubscribers: lifecycle events reach every host
+// subscriber in subscription order, and each KVM subscriber is handed
+// to every sandbox restored after it subscribed. Nil subscribers are
+// dropped.
+func TestHostFansOutToSubscribers(t *testing.T) {
+	h := NewHost(blockdev.MicronSATA5300())
+	fn := smallFn()
+	img := BuildImage(fn, false)
+	ino := h.RegisterSnapshot("tiny.snapmem", img)
+	var log []string
+	h.AddObserver(lifecycleLog{"a", &log})
+	h.AddObserver(nil)
+	h.AddObserver(lifecycleLog{"b", &log})
+	early, late := accessTally{}, accessTally{}
+	h.AddKVMObserver(early)
+	h.AddKVMObserver(nil)
+	if len(h.obs) != 2 || len(h.kvmObs) != 1 {
+		t.Fatalf("%d lifecycle and %d KVM subscribers, want 2 and 1", len(h.obs), len(h.kvmObs))
+	}
+	var vms []*MicroVM
+	run := func(name string) {
+		h.Eng.Go(name, func(p *sim.Proc) {
+			vm, err := h.Restore(p, name, fn, img, ino, RestoreConfig{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			vm.MapSnapshotDefault(p)
+			vm.MarkPrepared(p)
+			if _, err := vm.Invoke(p, fn.GenTrace()); err != nil {
+				t.Error(err)
+			}
+			vms = append(vms, vm)
+		})
+		h.Eng.Run()
+	}
+	run("vm0")
+	h.AddKVMObserver(late)
+	run("vm1")
+
+	var want []string
+	for _, vm := range []string{"vm0", "vm1"} {
+		for _, ev := range []string{"restore-begin", "restore-end", "prepared", "invoke-begin", "invoke-end"} {
+			want = append(want, "a "+ev+" "+vm, "b "+ev+" "+vm)
+		}
+	}
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("lifecycle log %q, want %q", log, want)
+	}
+	if len(vms) != 2 {
+		t.Fatalf("%d sandboxes ran, want 2", len(vms))
+	}
+	for i, vm := range vms {
+		n := early[vm.KVM]
+		if n[0] == 0 || n[0] != n[1] {
+			t.Errorf("%s: early subscriber saw %d begins, %d ends", vm.Name, n[0], n[1])
+		}
+		if got, ok := late[vm.KVM]; ok != (i == 1) || (ok && got != n) {
+			t.Errorf("%s: late subscriber saw %v (subscribed before: %v), early saw %v", vm.Name, got, i == 1, n)
+		}
+	}
 }

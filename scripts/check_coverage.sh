@@ -12,6 +12,8 @@ profile="${1:-coverage.out}"
 
 declare -A floors=(
   [snapbpf/internal/sim]=93.0
+  [snapbpf/internal/blockdev]=89.5
+  [snapbpf/internal/hostmm]=87.0
   [snapbpf/internal/ebpf]=86.0
   [snapbpf/internal/ebpf/absint]=89.0
   [snapbpf/internal/pagecache]=84.0
@@ -29,7 +31,7 @@ declare -A floors=(
   [snapbpf/internal/snapshot]=87.0
   [snapbpf/internal/testbed]=94.5
   [snapbpf/internal/guest]=94.5
-  [snapbpf/internal/vmm]=84.5
+  [snapbpf/internal/vmm]=90.0
   [snapbpf/internal/analysis]=98.0
   [snapbpf/internal/analysis/passes/detnondet]=89.0
   [snapbpf/internal/analysis/passes/maporder]=95.0
