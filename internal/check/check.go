@@ -80,9 +80,8 @@ type filePage struct {
 
 // spaceShadow mirrors one address space's page table.
 type spaceShadow struct {
-	released bool
-	anon     map[int64]anonPage
-	file     map[int64]filePage
+	anon map[int64]anonPage
+	file map[int64]filePage
 }
 
 // accessCtx is one in-progress guest access (AccessBegin..AccessEnd),
@@ -127,7 +126,8 @@ type Checker struct {
 	// FilePageMapped/FilePageUnmapped events only.
 	fileRefs map[pageKey]int
 
-	// spaces shadows every address space's page table.
+	// spaces shadows the page table of every live address space;
+	// SpaceReleased drops the shadow.
 	spaces map[*hostmm.AddressSpace]*spaceShadow
 
 	// access tracks in-progress guest accesses per simulated task.
@@ -449,7 +449,7 @@ func (c *Checker) SpaceReleased(as *hostmm.AddressSpace) {
 	if got := as.AnonPages(); got != 0 {
 		c.violatef("anon-accounting", "%s released with AnonPages=%d", as.Name(), got)
 	}
-	s.released = true
+	delete(c.spaces, as)
 }
 
 // FilePageMapped implements hostmm.Observer.
@@ -730,9 +730,7 @@ func (c *Checker) VMDone(vm *vmm.MicroVM) uint64 {
 	}
 	var total int64
 	for _, sh := range c.spaces {
-		if !sh.released {
-			total += int64(len(sh.anon))
-		}
+		total += int64(len(sh.anon))
 	}
 	if got := c.h.MM.TotalAnonPages(); got != total {
 		c.violatef("anon-total-accounting", "MM reports %d anonymous pages, shadows hold %d",

@@ -8,17 +8,17 @@ import "snapbpf/internal/ebpf"
 
 // BuiltinProgram is one kernel-side SnapBPF program paired with a VM
 // whose map and helper tables match what attachCapture/armPrefetch
-// register at runtime, so static analysis sees the real load
-// environment. Used by snapbpf-ebpf-check and -absint-report.
+// register at runtime, so tests can load and inspect the programs in
+// their real load environment.
 type BuiltinProgram struct {
 	Name  string
 	VM    *ebpf.VM
 	Insns []ebpf.Instruction
 }
 
-// BuiltinPrograms assembles both built-in programs in
-// analysis-faithful environments (the map sizes are nominal; only
-// fds, types and helper ids matter to verification).
+// BuiltinPrograms assembles both built-in programs in load-faithful
+// environments (the map sizes are nominal; only fds, types and helper
+// ids matter to verification).
 func BuiltinPrograms() []BuiltinProgram {
 	cvm := ebpf.NewVM()
 	confFD := cvm.RegisterMap(ebpf.MustNewMap(ebpf.MapTypeArray, "snapbpf_capture_conf", 2))

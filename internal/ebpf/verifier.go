@@ -1,10 +1,6 @@
 package ebpf
 
-import (
-	"errors"
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // regKind is the verifier's abstract type for a register value. The
 // kinds form a three-level lattice used when joining states at control
@@ -119,38 +115,12 @@ func isMapHelper(id int32) (ptrArgs int, ok bool) {
 //   - every execution path reaches EXIT with R0 initialized (control
 //     flow may not fall off the end).
 //
-// Verification runs in two tiers. The structural pass above is cheap
-// and accepts the common shapes directly. When it rejects a program
-// (or control flow falls off the end along a path the structural pass
-// cannot rule out), the abstract interpreter in internal/ebpf/absint
-// re-analyzes the program with tnum + interval range tracking and
-// branch-feasibility pruning; programs it proves safe — bounded loops
-// over proven induction variables, variable-offset stack accesses
-// with proven bounds, branches into otherwise-invalid code that can
-// never be taken — are accepted even though the structural pass could
-// not show it. When both tiers reject, the structural error is
-// returned (its messages are the stable, documented surface).
+// These are exactly the checks the paper's programs need (register
+// init, stack bounds, jump bounds, an instruction budget). The pass
+// tracks no value ranges, so it rejects variable-offset stack accesses
+// and structurally invalid code on any edge, even one no execution can
+// take; every error is final.
 func Verify(insns []Instruction, res helperResolver) error {
-	err := verifyStructural(insns, res)
-	if err == nil {
-		return nil
-	}
-	// Only structural-analysis failures get the second opinion;
-	// size-limit errors are final.
-	var vErr *VerifyError
-	fallsOff := strings.Contains(err.Error(), "control flow falls off")
-	if !errors.As(err, &vErr) && !fallsOff {
-		return err
-	}
-	if r := analyzeProgram(insns, res); r.OK {
-		return nil
-	}
-	return err
-}
-
-// verifyStructural is the first-tier dataflow analysis documented on
-// Verify.
-func verifyStructural(insns []Instruction, res helperResolver) error {
 	if len(insns) == 0 {
 		return fmt.Errorf("verifier: empty program")
 	}

@@ -303,3 +303,57 @@ func TestVerifyErrorIncludesPC(t *testing.T) {
 		t.Fatalf("PC = %d, want 1", ve.PC)
 	}
 }
+
+// evictionScanProgram is a bounded loop writing every slot of the
+// frame through a computed (variable-offset) stack pointer — the shape
+// of a warm-pool eviction scan. Every store stays in the frame, but
+// only range tracking could show it.
+func evictionScanProgram() []Instruction {
+	b := NewBuilder()
+	b.Mov64Imm(R6, 0).
+		Label("loop").
+		Mov64Reg(R2, R6).
+		Lsh64Imm(R2, 3). // r2 = i*8 in [0,504]
+		Mov64Reg(R3, R10).
+		Add64Imm(R3, -512).
+		Add64Reg(R3, R2). // r3 = fp-512+i*8, in [fp-512, fp-8]
+		StxDW(R3, 0, R6).
+		Add64Imm(R6, 1).
+		JmpImm(OpJlt, R6, 64, "loop").
+		Mov64Reg(R0, R6).
+		Exit()
+	return b.MustProgram()
+}
+
+// deadRegionProgram jumps over a dead region containing an invalid
+// instruction: r1 is forced to 3, so the jeq is always taken.
+func deadRegionProgram() []Instruction {
+	return []Instruction{
+		{Op: ClassALU64 | OpMov | SrcK, Dst: R1, Imm: 3},
+		{Op: ClassJMP | OpJeq | SrcK, Dst: R1, Imm: 3, Off: 2},
+		// Dead: memory access through a scalar register.
+		{Op: ClassLDX | ModeMEM | SizeDW, Dst: R0, Src: R1, Off: 0},
+		{Op: ClassJMP | OpExit},
+		{Op: ClassALU64 | OpMov | SrcK, Dst: R0, Imm: 9},
+		{Op: ClassJMP | OpExit},
+	}
+}
+
+// TestVerifyRejectsRangeDependentPrograms pins the edge of Verify's
+// contract: programs that are safe only by a value-range argument — a
+// variable-offset stack store, invalid code behind a branch that is
+// never taken — are rejected with the structural message.
+func TestVerifyRejectsRangeDependentPrograms(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		insns []Instruction
+	}{
+		{"eviction-scan", evictionScanProgram()},
+		{"dead-region", deadRegionProgram()},
+	} {
+		err := Verify(c.insns, NewVM())
+		if err == nil || !strings.Contains(err.Error(), "scalar register") {
+			t.Errorf("%s: err = %v, want scalar-register rejection", c.name, err)
+		}
+	}
+}

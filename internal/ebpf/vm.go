@@ -277,9 +277,9 @@ func (p *Program) Run(env any, args ...uint64) (uint64, error) {
 
 // InterpBranches runs the program with hook observing every
 // conditional jump it evaluates (the instruction pc and whether the
-// jump was taken). The absint differential fuzzer uses this to check
-// that edges the analysis declared infeasible are never executed.
-// Always runs on a private machine state.
+// jump was taken). The engine tests use it to compare the
+// interpreter's branch path against the reference stepper. Always runs
+// on a private machine state.
 func (p *Program) InterpBranches(env any, hook func(pc int, taken bool), args ...uint64) (uint64, error) {
 	st := p.newRunState()
 	st.ctx.Env = env

@@ -440,6 +440,8 @@ func TestTooManyArgs(t *testing.T) {
 	}
 }
 
+// TestInfiniteLoopHitsInsnBudget: Verify does not prove termination,
+// so an unbounded loop loads and the run dies on InsnBudget.
 func TestInfiniteLoopHitsInsnBudget(t *testing.T) {
 	insns := []Instruction{
 		{Op: ClassALU64 | OpMov | SrcK, Dst: R0, Imm: 0},
@@ -476,6 +478,45 @@ func TestBoundedLoopComputesInVM(t *testing.T) {
 	}
 	if got != 500500 {
 		t.Fatalf("sum = %d, want 500500", got)
+	}
+}
+
+// TestInterpBranches checks the branch observation hook: edge order,
+// pc values and taken flags for a short two-branch program.
+func TestInterpBranches(t *testing.T) {
+	// jeq r1, 1 (taken with r1=1), then jgt r1, 5 (not taken).
+	insns := []Instruction{
+		{Op: ClassJMP | OpJeq | SrcK, Dst: R1, Imm: 1, Off: 1},
+		{Op: ClassJMP | OpExit}, // skipped (r0 uninit — never reached)
+		{Op: ClassJMP | OpJgt | SrcK, Dst: R1, Imm: 5, Off: 0},
+		{Op: ClassALU64 | OpMov | SrcK, Dst: R0, Imm: 3},
+		{Op: ClassJMP | OpExit},
+	}
+	vm := NewVM()
+	p := &Program{Name: "hook", insns: insns, vm: vm, Enabled: true}
+	p.dec = decodeProgram(insns, vm)
+	type edge struct {
+		pc    int
+		taken bool
+	}
+	var got []edge
+	ret, err := p.InterpBranches(nil, func(pc int, taken bool) {
+		got = append(got, edge{pc, taken})
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ret != 3 {
+		t.Fatalf("ret %d, want 3", ret)
+	}
+	want := []edge{{0, true}, {2, false}}
+	if len(got) != len(want) {
+		t.Fatalf("observed %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("edge %d: observed %v, want %v", i, got[i], want[i])
+		}
 	}
 }
 

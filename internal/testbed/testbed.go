@@ -3,7 +3,7 @@
 // record once, drop caches, then restore → prepare → invoke. The
 // single-host harness and the region simulator are thin callers, so
 // the harness wiring — which consumer subscribes to which layer, in
-// which order (DESIGN.md §16) — is decided here and nowhere else.
+// which order (DESIGN.md §15) — is decided here and nowhere else.
 // Hosts built on one shared engine each subscribe their own consumers
 // to it, so every armed host sees every engine event.
 package testbed

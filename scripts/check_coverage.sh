@@ -14,8 +14,7 @@ declare -A floors=(
   [snapbpf/internal/sim]=93.0
   [snapbpf/internal/blockdev]=89.5
   [snapbpf/internal/hostmm]=87.0
-  [snapbpf/internal/ebpf]=86.0
-  [snapbpf/internal/ebpf/absint]=89.0
+  [snapbpf/internal/ebpf]=88.0
   [snapbpf/internal/pagecache]=84.0
   [snapbpf/internal/kvm]=78.0
   [snapbpf/internal/prefetch]=61.0
