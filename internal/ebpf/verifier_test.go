@@ -357,3 +357,43 @@ func TestVerifyRejectsRangeDependentPrograms(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyRejectsWhatAbsintCannotProve keeps the name it had while a
+// second, abstract-interpretation tier sat behind Verify; the contract
+// it pins is unchanged by that tier's removal. An unbounded loop is
+// accepted and the run dies on the instruction budget, and an
+// eviction scan whose bound lets it store past the frame is rejected
+// with the structural error.
+func TestVerifyRejectsWhatAbsintCannotProve(t *testing.T) {
+	vm := NewVM()
+	unbounded := []Instruction{
+		{Op: ClassALU64 | OpMov | SrcK, Dst: R0, Imm: 0},
+		{Op: ClassALU64 | OpAdd | SrcK, Dst: R0, Imm: 1},
+		{Op: ClassJMP | OpJa, Off: -2},
+		{Op: ClassJMP | OpExit},
+	}
+	if err := Verify(unbounded, vm); err != nil {
+		t.Fatalf("unbounded loop rejected (termination is enforced at run time): %v", err)
+	}
+	p, err := vm.Load("unbounded", unbounded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(nil); err == nil || !strings.Contains(err.Error(), "instruction budget") {
+		t.Fatalf("unbounded loop must die on the budget, got %v", err)
+	}
+
+	// The eviction scan with a 66-iteration bound writes past the
+	// frame on the last iterations.
+	bad := evictionScanProgram()
+	for i, in := range bad {
+		if in.Op == ClassJMP|OpJlt|SrcK && in.Imm == 64 {
+			bad[i].Imm = 66
+		}
+	}
+	if err := Verify(bad, vm); err == nil {
+		t.Fatal("out-of-frame variable store accepted")
+	} else if !strings.Contains(err.Error(), "scalar register") {
+		t.Fatalf("unexpected error: %v", err)
+	}
+}
